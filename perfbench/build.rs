@@ -1,0 +1,16 @@
+//! Records the compiler version so every result can be stamped with it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
