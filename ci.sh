@@ -61,22 +61,22 @@ rm -rf "$BENCH_DIR"
 # The MD5 floor is 8x on this host's explicit AVX-512 kernels (measured
 # ~15x); hosts with no SIMD ISA fall back to the autovectorized lanes,
 # which still clear the old 3x bar via the auto backend. The adaptive
-# floor asks the closed-loop retune to recover at least 1.3x the static
-# arm's parallel efficiency on the stale-weights skewed fleet (the true
+# floor asks work stealing to recover at least 1.3x the static arm's
+# parallel efficiency on the stale-weights skewed fleet (the true
 # figure for a 4x handicap is ~1.58x).
-echo "==> bench_cracker --json BENCH_cracker.json (fails if batched < scalar, MD5 < 8x, 2-worker scaling < 1.6x, adaptive/static efficiency < 1.3x, or telemetry overhead > 5%)"
+echo "==> bench_cracker --json BENCH_cracker.json (fails if batched < scalar, MD5 < 8x, 2-worker scaling < 1.6x, steal/static efficiency < 1.3x, or telemetry overhead > 5%)"
 cargo bench -q -p eks-bench --bench bench_cracker -- --json "$PWD/BENCH_cracker.json" --min-md5-speedup 8.0 --min-scaling 1.6 --min-adaptive-ratio 1.3 --max-telemetry-overhead-pct 5
-for field in '"schema": 4' '"adaptive"' '"adaptive_efficiency_ratio"' '"rescatters"'; do
+for field in '"schema": 5' '"adaptive"' '"steal_efficiency_ratio"' '"steal_efficiency"'; do
   if ! grep -q "$field" "$PWD/BENCH_cracker.json"; then
     echo "FAIL: BENCH_cracker.json is missing $field" >&2
     exit 1
   fi
 done
 
-echo "==> adaptive load-balancing smoke (skewed fleet: static leaves >30% idle, retune closes it to <15%)"
+echo "==> adaptive load-balancing smoke (skewed fleet: static leaves >30% idle, stealing closes it to <15%)"
 cargo run -q --release -p eks-bench --example adaptive_smoke
 
-echo "==> determinism: with --retune off, static accounting reproduces byte-for-byte"
+echo "==> determinism: static accounting reproduces byte-for-byte"
 DET_DIR="$(mktemp -d)"
 for arm in a b; do
   ./target/release/eks crack --algo md5 --digest d077f244def8a70e5ea758bd8352fcd8 --max 3 \
@@ -84,19 +84,7 @@ for arm in a b; do
   grep '^eks_keys_tested_total' "$DET_DIR/$arm.prom" | sort > "$DET_DIR/$arm.tested"
 done
 if ! diff "$DET_DIR/a.tested" "$DET_DIR/b.tested"; then
-  echo "FAIL: two retune-off static runs disagree on per-worker accounting" >&2
-  exit 1
-fi
-# And the retuned run covers the same total even though its per-worker
-# split is free to differ.
-./target/release/eks crack --algo md5 --digest d077f244def8a70e5ea758bd8352fcd8 --max 3 \
-  --all --threads 3 --sched steal --retune --metrics-out "$DET_DIR/r.prom" --quiet > /dev/null
-for f in a r; do
-  grep '^eks_keys_tested_total' "$DET_DIR/$f.prom" \
-    | awk '{s+=$NF} END {printf "%.0f\n", s}' > "$DET_DIR/$f.total"
-done
-if ! diff "$DET_DIR/a.total" "$DET_DIR/r.total"; then
-  echo "FAIL: the retuned run's total coverage differs from the static run" >&2
+  echo "FAIL: two static runs disagree on per-worker accounting" >&2
   exit 1
 fi
 rm -rf "$DET_DIR"

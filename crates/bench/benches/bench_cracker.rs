@@ -3,13 +3,12 @@
 //! autovectorized widths, the explicit-SIMD kernels (when the host's
 //! CPU reports an ISA), the auto-tuned winner, and the simulated-GPU
 //! kernel backend — all driven through the one `Dispatcher` core via
-//! `crack_parallel_backend`. The JSON artifact (schema 4) records the
+//! `crack_parallel_backend`. The JSON artifact (schema 5) records the
 //! detected CPU features and selected ISA so committed numbers carry
-//! their hardware context, plus the adaptive-vs-static skewed-fleet
+//! their hardware context, plus the steal-vs-static skewed-fleet
 //! scenario (`--min-adaptive-ratio` gates its efficiency ratio): a
 //! deliberately misweighted two-backend fleet under the iterated-MD5
-//! KDF where the closed-loop retune (live rate estimates, drift-check
-//! re-scatters, steals) must recover the idle time the stale static
+//! KDF where work stealing must recover the idle time the stale static
 //! split leaves on the table.
 //!
 //! Run directly for a human-readable table, or with `--json <path>` to
@@ -53,9 +52,7 @@ use eks_cracker::{
     ParallelConfig, SimdBackend, TargetSet,
 };
 use eks_telemetry::Telemetry;
-use eks_engine::{
-    eta_drift_pct, Backend, BackendKind, ChunkPolicy, IntervalDeques, RateBook, ScanMode,
-};
+use eks_engine::{Backend, BackendKind, ChunkPolicy, IntervalDeques, ScanMode};
 use eks_gpusim::device::Device;
 use eks_hashes::{cpu_features, HashAlgo, SimdIsa};
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
@@ -191,7 +188,7 @@ fn virtual_throughput(algo: HashAlgo, kind: BackendKind, workers: usize) -> f64 
     best
 }
 
-/// Keys for the adaptive-vs-static scenario: smaller than [`KEYS`]
+/// Keys for the steal-vs-static scenario: smaller than [`KEYS`]
 /// because the iterated-MD5 KDF multiplies per-key cost, and the
 /// scenario runs the sweep four times (warm-up + timed, two arms).
 const ADAPTIVE_KEYS: u64 = 60_000;
@@ -199,13 +196,8 @@ const ADAPTIVE_KEYS: u64 = 60_000;
 /// per-key cost varies with the key itself — the workload the paper's
 /// frozen one-shot tuning cannot see.
 const ADAPTIVE_ITERS: u16 = 8;
-/// Fleet-wide chunk count between drift checks and the drift threshold
-/// that triggers a re-scatter — the bench mirror of `Retune::default()`.
-const ADAPTIVE_EVERY_CHUNKS: u64 = 8;
-const ADAPTIVE_DRIFT_PCT: f64 = 25.0;
 /// Guided floor for the scenario: fine enough that the slow worker's
-/// share is many chunks (the estimator needs samples and the re-scatter
-/// needs queued work left to move).
+/// share is many chunks, so there is queued work left to steal.
 const ADAPTIVE_CHUNK_MIN: u128 = 1 << 9;
 
 /// How many times the handicapped worker re-scans each chunk: the
@@ -254,26 +246,23 @@ struct FleetArm {
     efficiency: f64,
     /// Virtual makespan, milliseconds.
     makespan_ms: f64,
-    /// Closed-loop re-scatters performed (always 0 in the static arm).
-    rescatters: u64,
+    /// Successful steals (always 0 in the static arm).
+    steals: u64,
 }
 
-/// The closed-loop payoff scenario: a two-worker fleet where worker 0
-/// runs the batched backend at full speed and worker 1 the same
-/// backend handicapped [`ADAPTIVE_SLOW_FACTOR`]-fold, under the
-/// iterated-MD5 KDF, but the scatter trusts a *stale* tuned book that
-/// claims the workers are equal.
+/// The load-balancing scenario: a two-worker fleet where worker 0 runs
+/// the batched backend at full speed and worker 1 the same backend
+/// handicapped [`ADAPTIVE_SLOW_FACTOR`]-fold, under the iterated-MD5
+/// KDF, but the scatter trusts a *stale* tuned book that claims the
+/// workers are equal.
 ///
 /// The static arm drains exactly its planned share — the fast worker
 /// idles while the slow one grinds through the misassigned half. The
-/// adaptive arm feeds every chunk timing into a live [`RateBook`],
-/// checks the estimated-time-to-drain drift every
-/// [`ADAPTIVE_EVERY_CHUNKS`] pops, re-scatters the queued remainders by
-/// the live rates once the estimates warm up, and steals at drain —
-/// the same feedback loop `--retune` enables in the real scheduler,
-/// driven deterministically through the virtual-core clock so the
-/// measured ratio is scheduler quality, not host core count.
-fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
+/// steal arm lets the drained fast worker take the back half of the
+/// slow worker's deque, the `--sched steal` default, driven
+/// deterministically through the virtual-core clock so the measured
+/// ratio is scheduler quality, not host core count.
+fn skewed_fleet_arm(steal: bool) -> FleetArm {
     let algo = HashAlgo::Md5Iter { iters: ADAPTIVE_ITERS };
     let space =
         KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).expect("space");
@@ -285,19 +274,16 @@ fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
     let workers = backends.len();
     let stop = AtomicBool::new(false);
     let policy = ChunkPolicy::Guided { min: ADAPTIVE_CHUNK_MIN };
-    let mut result = FleetArm { efficiency: 0.0, makespan_ms: 0.0, rescatters: 0 };
+    let mut result = FleetArm { efficiency: 0.0, makespan_ms: 0.0, steals: 0 };
     // Sweep 0 warms both backends untimed, as in `virtual_throughput`.
     for sweep in 0..2 {
         // The stale book: equal weights although the fleet is skewed.
-        let stale = vec![1.0; workers];
         let deques =
-            IntervalDeques::scatter(Interval::new(0, ADAPTIVE_KEYS as u128), &stale);
-        let rates = RateBook::new(stale);
+            IntervalDeques::scatter(Interval::new(0, ADAPTIVE_KEYS as u128), &vec![1.0; workers]);
         let mut clock = vec![0u64; workers];
         let mut busy = vec![0u64; workers];
         let mut done = vec![false; workers];
-        let mut chunks = 0u64;
-        let mut rescatters = 0u64;
+        let mut steals = 0u64;
         while let Some(w) = (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w]) {
             match deques.pop(w, policy) {
                 Some(chunk) => {
@@ -308,29 +294,15 @@ fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
                     clock[w] += ns;
                     busy[w] += ns;
                     assert!(out.hits.is_empty(), "impossible target must not hit");
-                    rates.observe(w, out.tested, ns);
-                    chunks += 1;
-                    if adaptive && chunks % ADAPTIVE_EVERY_CHUNKS == 0 {
-                        let remaining: Vec<u128> =
-                            (0..workers).map(|s| deques.remaining(s)).collect();
-                        let live = rates.weights();
-                        if eta_drift_pct(&remaining, &live, false) > ADAPTIVE_DRIFT_PCT
-                            && deques.rescatter(&live)
-                        {
-                            rescatters += 1;
-                        }
+                }
+                None if steal => {
+                    clock[w] += STEAL_NS;
+                    match deques.steal_into(w) {
+                        Some(_) => steals += 1,
+                        None => done[w] = true,
                     }
                 }
-                None => {
-                    if adaptive {
-                        clock[w] += STEAL_NS;
-                        if deques.steal_into(w).is_none() {
-                            done[w] = true;
-                        }
-                    } else {
-                        done[w] = true;
-                    }
-                }
+                None => done[w] = true,
             }
         }
         let makespan_ns = clock.iter().copied().max().unwrap_or(0).max(1);
@@ -338,11 +310,7 @@ fn skewed_fleet_arm(adaptive: bool) -> FleetArm {
         let efficiency =
             total_busy as f64 / (workers as f64 * makespan_ns as f64);
         if sweep > 0 {
-            result = FleetArm {
-                efficiency,
-                makespan_ms: makespan_ns as f64 / 1e6,
-                rescatters,
-            };
+            result = FleetArm { efficiency, makespan_ms: makespan_ns as f64 / 1e6, steals };
         }
     }
     result
@@ -545,30 +513,30 @@ fn main() {
         failed = true;
     }
 
-    // The closed-loop gate: on the skewed fleet under stale equal tuned
-    // weights, adaptive retuning must recover at least
+    // The load-balancing gate: on the skewed fleet under stale equal
+    // tuned weights, stealing must recover at least
     // `--min-adaptive-ratio` times the static arm's parallel efficiency.
     let static_arm = skewed_fleet_arm(false);
-    let adaptive_arm = skewed_fleet_arm(true);
-    let adaptive_ratio = if static_arm.efficiency > 0.0 {
-        adaptive_arm.efficiency / static_arm.efficiency
+    let steal_arm = skewed_fleet_arm(true);
+    let steal_ratio = if static_arm.efficiency > 0.0 {
+        steal_arm.efficiency / static_arm.efficiency
     } else {
         0.0
     };
     println!(
         "skewed fleet (md5x{ADAPTIVE_ITERS}, lanes8 + {ADAPTIVE_SLOW_FACTOR}x-slowed lanes8, stale equal weights): \
-         static eff {:.1}% ({:.1} ms), adaptive eff {:.1}% ({:.1} ms, {} re-scatter(s)) \
-         → {adaptive_ratio:.2}x (floor {min_adaptive_ratio:.2}x)",
+         static eff {:.1}% ({:.1} ms), steal eff {:.1}% ({:.1} ms, {} steal(s)) \
+         → {steal_ratio:.2}x (floor {min_adaptive_ratio:.2}x)",
         static_arm.efficiency * 100.0,
         static_arm.makespan_ms,
-        adaptive_arm.efficiency * 100.0,
-        adaptive_arm.makespan_ms,
-        adaptive_arm.rescatters,
+        steal_arm.efficiency * 100.0,
+        steal_arm.makespan_ms,
+        steal_arm.steals,
     );
-    let _ = write!(gates, ", \"adaptive_efficiency_ratio\": {adaptive_ratio:.3}");
-    if adaptive_ratio < min_adaptive_ratio {
+    let _ = write!(gates, ", \"steal_efficiency_ratio\": {steal_ratio:.3}");
+    if steal_ratio < min_adaptive_ratio {
         eprintln!(
-            "GATE FAILED: adaptive/static efficiency ratio {adaptive_ratio:.2}x is below the {min_adaptive_ratio:.2}x floor"
+            "GATE FAILED: steal/static efficiency ratio {steal_ratio:.2}x is below the {min_adaptive_ratio:.2}x floor"
         );
         failed = true;
     }
@@ -625,12 +593,12 @@ fn main() {
             SimdIsa::detect().map_or("null".to_string(), |isa| format!("\"{isa}\""));
         let adaptive_body = format!(
             "{{\"algo\": \"md5x{ADAPTIVE_ITERS}\", \"workers\": 2, \"backends\": [\"lanes8\", \"lanes8-slow{ADAPTIVE_SLOW_FACTOR}\"], \
-             \"static_efficiency\": {:.3}, \"adaptive_efficiency\": {:.3}, \
-             \"efficiency_ratio\": {adaptive_ratio:.3}, \"rescatters\": {}}}",
-            static_arm.efficiency, adaptive_arm.efficiency, adaptive_arm.rescatters
+             \"static_efficiency\": {:.3}, \"steal_efficiency\": {:.3}, \
+             \"efficiency_ratio\": {steal_ratio:.3}, \"steals\": {}}}",
+            static_arm.efficiency, steal_arm.efficiency, steal_arm.steals
         );
         let json = format!(
-            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 4,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"gates\": {{{gates}}}\n}}\n"
+            "{{\n  \"bench\": \"cracker_backends_vs_scalar\",\n  \"schema\": 5,\n  \"keys_per_sweep\": {KEYS},\n  \"best_of\": {BEST_OF},\n  \"min_md5_speedup\": {min_md5_speedup},\n  \"min_scaling\": {min_scaling},\n  \"min_adaptive_ratio\": {min_adaptive_ratio},\n  \"cpu_features\": {{{features_body}}},\n  \"simd_isa\": {isa_body},\n  \"results\": [\n{body}\n  ],\n  \"scaling\": [\n{scaling_body}\n  ],\n  \"adaptive\": {adaptive_body},\n  \"gates\": {{{gates}}}\n}}\n"
         );
         std::fs::write(&path, json).expect("write json artifact");
         println!("wrote {path}");

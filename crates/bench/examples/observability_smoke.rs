@@ -1,17 +1,21 @@
 //! CI smoke gate for the live observability plane.
 //!
 //! A two-worker fleet is deliberately skewed — both workers scan with
-//! the real 8-lane MD5 backend, but the driver charges worker
-//! `host/slow` [`SLOW_FACTOR`]× the virtual nanoseconds per key — and
-//! the whole run is driven on a [`ManualClock`] through the same
-//! deterministic virtual-core loop as `adaptive_smoke`. The telemetry
-//! handle carries an attached [`LivePlane`] with 1-second windows, so
-//! every `Dispatcher::scan_as` merge runs the real
-//! `Telemetry::observe_plane` hook: windows flush exactly when the
-//! virtual clock crosses a boundary and the anomaly detector
-//! classifies the flushed deltas.
+//! the real 8-lane MD5 backend, but worker `host/slow` is charged
+//! [`SLOW_FACTOR`]× the virtual nanoseconds per key — and the whole run
+//! goes through the real `Dispatcher::run_deques` on a
+//! [`ManualClock`]. Each worker's backend holds a turn gate: only the
+//! worker whose virtual clock is furthest behind may scan next, so the
+//! two threads advance in the same deterministic virtual-core order as
+//! `adaptive_smoke`. The telemetry handle carries an attached
+//! [`LivePlane`] with 1-second windows, so every `Dispatcher::scan_as`
+//! merge runs the real `Telemetry::observe_plane` hook: windows flush
+//! when the virtual clock crosses a boundary, and the anomaly detector
+//! compares each worker's keys-tested rate in the window against the
+//! tuned rate the dispatcher published for it. Nothing here sets a
+//! rate gauge by hand.
 //!
-//! The gate asserts the ISSUE acceptance criteria end to end:
+//! The gate asserts end to end:
 //!
 //! 1. the detector flags `host/slow` as a straggler within two
 //!    windows of the run starting;
@@ -27,10 +31,15 @@
 //! non-zero when any bound is missed.
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use eks_cracker::{cpu_backend, Lanes, TargetSet};
-use eks_engine::{ChunkPolicy, Dispatcher, IntervalDeques, RateBook, ScanMode};
+use eks_engine::{
+    Backend, ChunkPolicy, DequeLeaf, Dispatcher, IntervalDeques, ScanMode, ScanReport,
+    SchedOptions,
+};
 use eks_hashes::HashAlgo;
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
 use eks_telemetry::{
@@ -57,6 +66,108 @@ const CHUNK: u128 = 1 << 12;
 
 const WORKERS: usize = 2;
 const LABELS: [&str; WORKERS] = ["host/fast", "host/slow"];
+
+/// The fleet's virtual time: per-worker clocks, which workers wait at
+/// the turn gate, and the mid-run scrape taken once the straggler is
+/// flagged.
+struct VirtualFleet<'a> {
+    clock: Arc<ManualClock>,
+    deques: &'a IntervalDeques,
+    plane: Arc<LivePlane>,
+    addr: String,
+    state: Mutex<([u64; WORKERS], [bool; WORKERS])>,
+    turn: Condvar,
+    mid_run_scrape: Mutex<Option<(String, u128)>>,
+}
+
+impl VirtualFleet<'_> {
+    /// Block until `worker` is the furthest-behind worker that may still
+    /// scan: one waiting at the gate, or any worker while keys are still
+    /// queued (it will come back for them).
+    fn wait_turn(&self, worker: usize) {
+        let mut state = self.state.lock().expect("fleet state");
+        state.1[worker] = true;
+        loop {
+            let (vclock, waiting) = *state;
+            let queued = self.deques.total_remaining() > 0;
+            let behind = (0..WORKERS).any(|u| {
+                u != worker
+                    && (vclock[u], u) < (vclock[worker], worker)
+                    && (waiting[u] || queued)
+            });
+            if !behind {
+                break;
+            }
+            // A worker that exits never comes back; the timeout re-reads
+            // the queue so its departure cannot strand this one.
+            state = self
+                .turn
+                .wait_timeout(state, Duration::from_millis(1))
+                .expect("fleet state")
+                .0;
+        }
+        state.1[worker] = false;
+    }
+
+    /// Charge `worker` its virtual cost and move the fleet's clock to
+    /// the slowest worker's frontier.
+    fn advance(&self, worker: usize, cost_ns: u64) {
+        let mut state = self.state.lock().expect("fleet state");
+        state.0[worker] += cost_ns;
+        // Per-worker clocks only grow, so their minimum is monotone.
+        self.clock.set(state.0.iter().copied().min().unwrap_or(0));
+        drop(state);
+        self.turn.notify_all();
+    }
+
+    /// The first time the plane flags the straggler with work still
+    /// queued, take the mid-run `/metrics` scrape the gate asserts on.
+    fn maybe_scrape(&self) {
+        let mut scrape = self.mid_run_scrape.lock().expect("scrape slot");
+        if scrape.is_none() && self.plane.is_flagged(LABELS[1]) {
+            let remaining = self.deques.total_remaining();
+            if let Ok(body) = http_get(&self.addr, "/metrics") {
+                *scrape = Some((body, remaining));
+            }
+        }
+    }
+}
+
+/// One worker's backend: the real lanes8 scan, taken in virtual-time
+/// order and charged `ns_per_key` virtual nanoseconds per key. Its
+/// tuned rate is the stale equal claim the scatter trusted.
+struct VirtualBackend<'a> {
+    inner: Box<dyn Backend>,
+    worker: usize,
+    ns_per_key: u64,
+    fleet: &'a VirtualFleet<'a>,
+}
+
+impl Backend for VirtualBackend<'_> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn scan(
+        &self,
+        space: &KeySpace,
+        targets: &TargetSet,
+        interval: Interval,
+        stop: &AtomicBool,
+        mode: ScanMode,
+    ) -> ScanReport {
+        self.fleet.wait_turn(self.worker);
+        self.fleet.maybe_scrape();
+        let report = self.inner.scan(space, targets, interval, stop, mode);
+        let cost = u64::try_from(report.tested).unwrap_or(u64::MAX) * self.ns_per_key;
+        self.fleet.advance(self.worker, cost);
+        report
+    }
+
+    fn tuned_rate(&self, _algo: HashAlgo) -> f64 {
+        TUNED_MKEYS
+    }
+}
 
 fn check(ok: bool, what: &str) -> bool {
     println!("  [{}] {what}", if ok { "ok" } else { "FAIL" });
@@ -91,65 +202,39 @@ fn main() -> ExitCode {
     let targets = TargetSet::new(HashAlgo::Md5, &[digest]);
     let dispatcher = Dispatcher::new(&space, &targets, ScanMode::Exhaustive)
         .with_telemetry(telemetry.clone());
-    let ids = LABELS.map(|l| dispatcher.register(l));
-    let backend = cpu_backend(Lanes::L8);
 
     // The scatter trusts the stale equal book, so the slow worker owns
-    // half the keys — the PR 9 skewed-fleet scenario.
+    // half the keys; stealing hands its tail to the fast worker.
     let deques = IntervalDeques::scatter(Interval::new(0, KEYS), &[1.0; WORKERS]);
-    let rates = RateBook::new(vec![TUNED_MKEYS; WORKERS]);
+    let fleet = VirtualFleet {
+        clock: clock.clone(),
+        deques: &deques,
+        plane: plane.clone(),
+        addr: addr.clone(),
+        state: Mutex::new(([0; WORKERS], [false; WORKERS])),
+        turn: Condvar::new(),
+        mid_run_scrape: Mutex::new(None),
+    };
     let cost_ns_per_key: [u64; WORKERS] = [FAST_NS_PER_KEY, FAST_NS_PER_KEY * SLOW_FACTOR];
-
-    let mut vclock = [0u64; WORKERS];
-    let mut done = [false; WORKERS];
-    let mut mid_run_scrape: Option<(String, u128)> = None;
-    loop {
-        // Always advance the furthest-behind live worker.
-        let Some(w) = (0..WORKERS).filter(|&w| !done[w]).min_by_key(|&w| vclock[w]) else {
-            break;
-        };
-        let chunk = match deques.pop(w, ChunkPolicy::Fixed(CHUNK)) {
-            Some(c) => c,
-            None => {
-                if deques.steal_into(w).is_none() {
-                    done[w] = true;
-                }
-                continue;
-            }
-        };
-        // The real dispatch path: live labelled counters, scan spans,
-        // and the observe_plane hook all fire inside scan_as.
-        let report = dispatcher.scan_as(ids[w], backend.as_ref(), chunk);
-        let cost = u64::try_from(report.tested).unwrap_or(u64::MAX) * cost_ns_per_key[w];
-        rates.observe(w, report.tested, cost);
-        vclock[w] += cost;
-        // Publish the live-vs-tuned gauges the straggler rule reads,
-        // exactly as the scheduler's elected retune tick does.
-        for (slot, label) in LABELS.iter().enumerate() {
-            telemetry.gauge(names::WORKER_RATE_EST, &[("worker", label)]).set(rates.mkeys(slot));
-            telemetry
-                .gauge(names::WORKER_RATE_TUNED, &[("worker", label)])
-                .set(rates.tuned_mkeys(slot));
-        }
-        // The fleet's "now" is the slowest live worker's frontier.
-        if let Some(&frontier) = vclock
-            .iter()
-            .zip(done.iter())
-            .filter(|(_, &d)| !d)
-            .map(|(v, _)| v)
-            .min()
-        {
-            clock.set(frontier);
-        }
-        // First time the plane flags the straggler with work still
-        // queued, take the mid-run /metrics scrape the gate asserts on.
-        if mid_run_scrape.is_none() && plane.is_flagged(LABELS[1]) {
-            let remaining = deques.total_remaining();
-            if let Ok(body) = http_get(&addr, "/metrics") {
-                mid_run_scrape = Some((body, remaining));
-            }
-        }
-    }
+    let backends: Vec<VirtualBackend<'_>> = (0..WORKERS)
+        .map(|worker| VirtualBackend {
+            inner: cpu_backend(Lanes::L8),
+            worker,
+            ns_per_key: cost_ns_per_key[worker],
+            fleet: &fleet,
+        })
+        .collect();
+    let leaves: Vec<DequeLeaf<'_>> = backends
+        .iter()
+        .zip(LABELS)
+        .map(|(backend, label)| DequeLeaf { worker: dispatcher.register(label), backend })
+        .collect();
+    dispatcher.run_deques(
+        &leaves,
+        &deques,
+        SchedOptions { chunk: ChunkPolicy::Fixed(CHUNK), steal: true },
+    );
+    let mid_run_scrape = fleet.mid_run_scrape.lock().expect("scrape slot").take();
     let report = dispatcher.finish();
     server.shutdown();
 

@@ -7,7 +7,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     positional: Vec<String>,
-    flags: HashMap<String, String>,
+    /// Flag name to its value; `None` for a bare flag.
+    flags: HashMap<String, Option<String>>,
 }
 
 impl Args {
@@ -21,19 +22,12 @@ impl Args {
                     return Err("bare '--' is not a flag".into());
                 }
                 // `--flag=value` or `--flag value`; a flag followed by
-                // another flag (or nothing) is boolean.
+                // another flag (or nothing) is bare.
                 if let Some((k, v)) = name.split_once('=') {
-                    out.flags.insert(k.to_string(), v.to_string());
+                    out.flags.insert(k.to_string(), Some(v.to_string()));
                 } else {
-                    match it.peek() {
-                        Some(next) if !next.starts_with("--") => {
-                            let v = it.next().expect("peeked");
-                            out.flags.insert(name.to_string(), v);
-                        }
-                        _ => {
-                            out.flags.insert(name.to_string(), "true".to_string());
-                        }
-                    }
+                    let value = it.next_if(|next| !next.starts_with("--"));
+                    out.flags.insert(name.to_string(), value);
                 }
             } else {
                 out.positional.push(a);
@@ -47,9 +41,9 @@ impl Args {
         self.positional.get(i).map(String::as_str)
     }
 
-    /// Raw string flag.
+    /// Raw string flag (`None` when absent or given bare).
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
+        self.flags.get(name).and_then(Option::as_deref)
     }
 
     /// String flag with a default.
@@ -72,16 +66,45 @@ impl Args {
         self.flags.contains_key(name)
     }
 
-    /// Flags that were provided but are not in the allowed set.
-    /// (Available for stricter front-ends; the built-in commands accept
-    /// and ignore extras.)
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Flags that were provided but are not in the allowed set, sorted.
     pub fn unknown_flags(&self, allowed: &[&str]) -> Vec<String> {
-        self.flags
+        let mut unknown: Vec<String> = self
+            .flags
             .keys()
             .filter(|k| !allowed.contains(&k.as_str()))
             .cloned()
-            .collect()
+            .collect();
+        unknown.sort();
+        unknown
+    }
+
+    /// Check the flags against a subcommand's table: every flag must be
+    /// one of `values` (which need a value) or `switches` (which take
+    /// none). The error names the first offending flag.
+    pub fn check_flags(
+        &self,
+        command: &str,
+        values: &[&str],
+        switches: &[&str],
+    ) -> Result<(), String> {
+        let allowed: Vec<&str> = values.iter().chain(switches).copied().collect();
+        if let Some(flag) = self.unknown_flags(&allowed).first() {
+            return Err(format!("unknown flag --{flag} for `eks {command}`"));
+        }
+        let mut given: Vec<(&String, &Option<String>)> = self.flags.iter().collect();
+        given.sort();
+        for (name, value) in given {
+            match value {
+                None if values.contains(&name.as_str()) => {
+                    return Err(format!("--{name} needs a value"));
+                }
+                Some(v) if switches.contains(&name.as_str()) => {
+                    return Err(format!("--{name} takes no value (got {v:?})"));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -120,6 +143,23 @@ mod tests {
     fn unknown_flags_detected() {
         let a = parse(&["--algo", "md5", "--tpyo", "x"]);
         assert_eq!(a.unknown_flags(&["algo"]), vec!["tpyo".to_string()]);
+        let err = a.check_flags("crack", &["algo"], &[]).unwrap_err();
+        assert!(err.contains("--tpyo"), "{err}");
+    }
+
+    #[test]
+    fn value_flags_need_values_and_switches_take_none() {
+        let a = parse(&["--json"]);
+        assert_eq!(a.get("json"), None, "a bare flag has no value");
+        assert!(a.has("json"));
+        let err = a.check_flags("bench", &["json"], &[]).unwrap_err();
+        assert!(err.contains("--json needs a value"), "{err}");
+        assert!(a.check_flags("verify", &[], &["json"]).is_ok());
+        let a = parse(&["--all", "extra"]);
+        let err = a.check_flags("crack", &[], &["all"]).unwrap_err();
+        assert!(err.contains("--all takes no value"), "{err}");
+        let a = parse(&["--json=out.json", "--all"]);
+        assert!(a.check_flags("x", &["json"], &["all"]).is_ok());
     }
 
     #[test]

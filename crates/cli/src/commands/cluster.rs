@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use eks_cluster::{
-    paper_network, run_cluster_search_retuned, simulate_search, tune_device, AchievedModel,
+    paper_network, run_cluster_search_observed, simulate_search, tune_device, AchievedModel,
     SimParams,
 };
 use eks_cracker::{render_worker_stats, TargetSet};
@@ -13,7 +13,7 @@ use eks_kernels::Tool;
 use eks_keyspace::{Charset, KeySpace, Order};
 
 use super::{
-    arm_flight_recorder, parse_algo, parse_charset, parse_retune, parse_sched, parse_telemetry,
+    arm_flight_recorder, parse_algo, parse_charset, parse_sched, parse_telemetry,
     spawn_metrics_server, write_artifacts,
 };
 
@@ -45,25 +45,22 @@ pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
         ),
     };
     let sched = parse_sched(args, SchedPolicy::Static)?;
-    let retune = parse_retune(args)?;
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, None)?;
     arm_flight_recorder(args, &telemetry);
     let targets = TargetSet::new(algo, &[digest]);
     log.info(format!(
-        "cluster [{label}]: searching {} {} candidates ({sched} schedule{})",
+        "cluster [{label}]: searching {} {} candidates ({sched} schedule)",
         space.size(),
         algo.name(),
-        if retune.is_some() { ", closed-loop retune" } else { "" }
     ));
-    let r = run_cluster_search_retuned(
+    let r = run_cluster_search_observed(
         &net,
         &space,
         &targets,
         space.interval(),
         !args.has("all"),
         sched,
-        retune,
         &telemetry,
     );
     print!("{}", render_worker_stats(&r.stats));
@@ -210,20 +207,21 @@ mod tests {
     }
 
     #[test]
-    fn cluster_retune_flag_publishes_live_rate_gauges() {
+    fn cluster_run_publishes_tuned_rate_gauges() {
         let dir = std::env::temp_dir();
-        let metrics = dir.join(format!("eks-cli-cluster-retune-{}.prom", std::process::id()));
+        let metrics = dir.join(format!("eks-cli-cluster-tuned-{}.prom", std::process::id()));
         let digest = to_hex(&HashAlgo::Md5.hash(b"cab"));
         let a = args(&[
             "cluster", "--digest", &digest, "--max", "3", "--all",
-            "--topology", "box(660, cpu:2)", "--sched", "steal", "--retune",
-            "--retune-interval", "2", "--metrics-out", metrics.to_str().unwrap(),
+            "--topology", "box(660, cpu:2)", "--sched", "steal",
+            "--metrics-out", metrics.to_str().unwrap(),
         ]);
         assert!(run("cluster", &a).is_ok());
         let samples = parse_prometheus(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        assert!(samples.iter().any(|s| s.name == "eks_worker_rate_est_mkeys"), "{samples:?}");
-        assert!(samples.iter().any(|s| s.name == "eks_worker_rate_tuned_mkeys"), "{samples:?}");
-        assert!(samples.iter().any(|s| s.name == "eks_rescatter_total"), "{samples:?}");
+        let tuned: Vec<_> =
+            samples.iter().filter(|s| s.name == "eks_worker_rate_tuned_mkeys").collect();
+        assert_eq!(tuned.len(), 2, "one tuned baseline per worker: {samples:?}");
+        assert!(tuned.iter().all(|s| s.value > 0.0), "{tuned:?}");
         std::fs::remove_file(&metrics).ok();
     }
 

@@ -13,8 +13,8 @@ use eks_telemetry::{names, Telemetry};
 use eks_keyspace::{KeySpace, Order};
 
 use super::{
-    arm_flight_recorder, parse_algo, parse_charset, parse_chunk, parse_retune, parse_sched,
-    parse_telemetry, parse_threads, spawn_metrics_server, write_artifacts,
+    arm_flight_recorder, parse_algo, parse_charset, parse_chunk, parse_sched, parse_telemetry,
+    parse_threads, spawn_metrics_server, write_artifacts,
 };
 
 /// `--batch` opts into the lane-batched path explicitly (it is already the
@@ -126,7 +126,6 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     let backend = parse_backend(args, &telemetry)?;
     let chunk = parse_chunk(args)?;
     let sched = parse_sched(args, SchedPolicy::Steal)?;
-    let retune = parse_retune(args)?;
     let structured = args.get("mask").is_some()
         || args.get("words").is_some()
         || args.get("salt-prefix").is_some()
@@ -136,9 +135,6 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     }
     if args.get("sched").is_some() && structured {
         return Err("--sched applies only to plain charset searches".into());
-    }
-    if retune.is_some() && structured {
-        return Err("--retune applies only to plain charset searches".into());
     }
 
     // Mask attack: --mask "?u?l?l?d?d".
@@ -220,7 +216,6 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
         first_hit_only: !args.has("all"),
         lanes,
         sched,
-        retune,
         ..ParallelConfig::for_threads(threads)
     };
     if let Some(c) = chunk {
@@ -412,26 +407,17 @@ mod tests {
     }
 
     #[test]
-    fn crack_retune_flags() {
+    fn retired_unknown_and_bare_value_flags_fail_by_name() {
         let digest = to_hex(&HashAlgo::Md5.hash(b"cab"));
-        let a = args(&[
-            "crack", "--digest", &digest, "--max", "3", "--threads", "2", "--all", "--retune",
-        ]);
-        assert!(run("crack", &a).is_ok(), "--retune");
-        // --retune-interval implies --retune.
-        let a = args(&[
-            "crack", "--digest", &digest, "--max", "3", "--threads", "2",
-            "--retune-interval", "4",
-        ]);
-        assert!(run("crack", &a).is_ok(), "--retune-interval alone");
-        let bad = args(&["crack", "--digest", &digest, "--retune-interval", "0"]);
-        let err = run("crack", &bad).expect_err("interval 0 must be rejected");
-        assert!(err.contains("--retune-interval"), "{err}");
-        let bad = args(&["crack", "--digest", &digest, "--retune-interval", "soon"]);
-        assert!(run("crack", &bad).is_err(), "non-numeric interval");
-        let masked =
-            args(&["crack", "--digest", &digest, "--retune", "--mask", "?l?l?l"]);
-        assert!(run("crack", &masked).is_err(), "--retune is plain-search only");
+        let retired = args(&["crack", "--digest", &digest, "--max", "3", "--retune"]);
+        let err = run("crack", &retired).expect_err("--retune is gone");
+        assert!(err.contains("--retune"), "{err}");
+        let typo = args(&["crack", "--digest", &digest, "--max-len", "6"]);
+        let err = run("crack", &typo).expect_err("--max-len is not a crack flag");
+        assert!(err.contains("--max-len"), "{err}");
+        let bare = args(&["bench", "--json"]);
+        let err = run("bench", &bare).expect_err("--json needs a file name");
+        assert!(err.contains("--json"), "{err}");
     }
 
     #[test]

@@ -198,7 +198,6 @@ fn parse_round_keys(args: &Args) -> Result<u128, String> {
 fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
     let threads = parse_threads(args, 4)?;
     let round_keys = parse_round_keys(args)?;
-    let retune = super::parse_retune(args)?.is_some();
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, Some(jobs_fn(&store)))?;
     let fleet = match args.get("topology") {
@@ -211,7 +210,7 @@ fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
     };
     let service = JobService::new(
         store,
-        ServiceConfig { round_keys, retune, ..ServiceConfig::default() },
+        ServiceConfig { round_keys, ..ServiceConfig::default() },
     )
     .with_telemetry(telemetry.clone());
     let run_span = telemetry.span(names::SPAN_RUN);

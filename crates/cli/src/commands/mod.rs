@@ -16,13 +16,72 @@ use std::sync::Arc;
 
 use crate::args::Args;
 use crate::log::{Level, Logger};
-use eks_engine::{Retune, SchedPolicy};
+use eks_engine::SchedPolicy;
 use eks_hashes::HashAlgo;
 use eks_keyspace::Charset;
 use eks_telemetry::{JobsFn, LivePlane, MetricsServer, Telemetry};
 
-/// Dispatch a subcommand.
+/// Every subcommand's flags: `(command, value flags, switches)`. A
+/// value flag needs a value (`--max 6` or `--max=6`); a switch takes
+/// none. [`run`] rejects any flag its command does not list, so a
+/// mistyped or retired flag fails loudly instead of silently running a
+/// different search.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    (
+        "crack",
+        &[
+            "algo", "digest", "charset", "min", "max", "threads", "salt-prefix", "salt-suffix",
+            "mask", "words", "suffix-digits", "lanes", "backend", "device", "isa", "sched",
+            "chunk", "metrics-out", "trace-out", "listen-metrics", "flight",
+            "panic-after-chunks",
+        ],
+        &["all", "batch", "stats", "progress", "quiet", "verbose"],
+    ),
+    ("hash", &["algo"], &[]),
+    ("mine", &["difficulty", "header", "threads"], &[]),
+    ("analyze", &["algo", "variant", "deny", "tolerance"], &["json"]),
+    ("verify", &["workers", "intervals", "depth", "deny", "mutate"], &["json"]),
+    ("devices", &[], &[]),
+    ("disasm", &["algo", "cc", "tool"], &[]),
+    ("profile", &["algo", "device"], &[]),
+    ("audit", &["digests", "accounts", "algo", "charset", "min", "max"], &[]),
+    ("strength", &["algo", "charset", "min", "max"], &[]),
+    ("simulate", &["algo", "keys", "topology"], &[]),
+    (
+        "cluster",
+        &[
+            "algo", "digest", "charset", "min", "max", "topology", "sched", "metrics-out",
+            "trace-out", "listen-metrics", "flight",
+        ],
+        &["all", "quiet", "verbose"],
+    ),
+    ("report", &["metrics", "trace"], &[]),
+    ("tune", &["threads"], &[]),
+    ("bench", &["json"], &[]),
+    (
+        "job",
+        &[
+            "spool", "algo", "digest", "name", "charset", "min", "max", "priority", "threads",
+            "topology", "round-keys", "metrics-out", "trace-out", "listen-metrics",
+        ],
+        &["first-hit", "quiet", "verbose"],
+    ),
+    (
+        "serve",
+        &["spool", "addr", "threads", "round-keys", "listen-metrics"],
+        &["no-run", "quiet", "verbose"],
+    ),
+    ("top", &["addr", "interval"], &["once"]),
+    ("postmortem", &[], &[]),
+    ("help", &[], &["help"]),
+    ("-h", &[], &[]),
+];
+
+/// Dispatch a subcommand after checking its flags against [`FLAGS`].
 pub fn run(command: &str, args: &Args) -> Result<(), String> {
+    if let Some((_, values, switches)) = FLAGS.iter().find(|(name, _, _)| *name == command) {
+        args.check_flags(command, values, switches)?;
+    }
     match command {
         "crack" => crack::cmd_crack(args),
         "hash" => misc::cmd_hash(args),
@@ -54,7 +113,7 @@ pub fn run(command: &str, args: &Args) -> Result<(), String> {
 fn print_help() {
     println!("eks — exhaustive key search on (simulated) clusters of GPUs");
     println!();
-    println!("commands:");
+    println!("commands (each rejects any flag it does not list):");
     println!("  crack    --algo md5|sha1|ntlm --digest HEX [--charset lower|upper|digits|alpha|alnum|print]");
     println!("           [--min N] [--max N] [--threads N] [--all] [--salt-prefix S] [--salt-suffix S]");
     println!("           [--mask \"?u?l?l?d?d\"] [--words w1,w2,... [--suffix-digits N]]");
@@ -71,11 +130,6 @@ fn print_help() {
     println!("           per-worker interval deques with steal-half rebalancing)");
     println!("           [--chunk N]   chunk size: the fixed pop in queue mode, the guided");
     println!("           floor otherwise (default: derived from --threads; must be >= 1)");
-    println!("           [--retune [--retune-interval N]]   closed-loop adaptive rebalancing:");
-    println!("           live EWMA rate estimates per worker, a drift check every N fleet");
-    println!("           chunks (default 8), and a deque re-scatter when the estimated");
-    println!("           time-to-drain divergence exceeds 25%; off by default — without it");
-    println!("           the static tuned-rate accounting is reproduced byte-for-byte");
     println!("           [--stats]   print the per-worker scheduler table (tested, steals,");
     println!("           splits, busy/idle ms, util%, keys/s) after the search");
     println!("           [--metrics-out F.prom] [--trace-out F.jsonl]   write telemetry");
@@ -115,10 +169,8 @@ fn print_help() {
     println!("           heterogeneous cluster of CPU + simulated-GPU backends");
     println!("           [--sched static|queue|steal]   leaf scheduling (default: static —");
     println!("           rate-proportional shares; steal lets drained leaves rebalance)");
-    println!("           [--retune [--retune-interval N]]   feed live per-leaf rates back");
-    println!("           into the schedule and re-scatter on drift (see crack --retune)");
     println!("           [--metrics-out F.prom] [--trace-out F.jsonl] [--listen-metrics");
-    println!("           HOST:PORT] [--quiet|--verbose]");
+    println!("           HOST:PORT] [--flight F.json] [--quiet|--verbose]");
     println!("  report   --metrics F.prom [--trace F.jsonl]   render a run report from");
     println!("           telemetry artifacts: per-worker utilization, tuned rates, scan");
     println!("           p50/p95/p99, the paper's SIII cost-model phases, and network");
@@ -134,13 +186,12 @@ fn print_help() {
     println!("           list                                    one line per spooled job");
     println!("           status <id>                             full record of one job");
     println!("           cancel|pause|resume <id>                lifecycle transitions");
-    println!("           run [--threads N] [--topology ...] [--round-keys N] [--retune]");
+    println!("           run [--threads N] [--topology ...] [--round-keys N]");
     println!("           drive the fair-share scheduler until every runnable job completes;");
-    println!("           --retune tracks live fleet throughput, re-splitting leases and");
-    println!("           scaling the round budget to real rates; safe to");
-    println!("           kill at any instant — completed leases are checkpointed and a");
-    println!("           restart resumes with no rescanned and no skipped keys");
-    println!("           [--metrics-out F.prom] [--trace-out F.jsonl]   per-job telemetry");
+    println!("           safe to kill at any instant — completed leases are checkpointed");
+    println!("           and a restart resumes with no rescanned and no skipped keys");
+    println!("           [--metrics-out F.prom] [--trace-out F.jsonl] [--listen-metrics");
+    println!("           HOST:PORT] [--quiet|--verbose]   per-job telemetry");
     println!("  serve    --spool DIR [--addr HOST:PORT] [--threads N] [--round-keys N]");
     println!("           [--no-run]   the job service as a JSON-lines TCP protocol:");
     println!("           one request object per line ({{\"cmd\":\"submit\"|\"list\"|\"status\"|");
@@ -197,32 +248,6 @@ fn parse_chunk(args: &Args) -> Result<Option<u64>, String> {
         return Err("--chunk must be at least 1".into());
     }
     Ok(Some(chunk))
-}
-
-/// `--retune` switches on closed-loop adaptive rebalancing (live EWMA
-/// rate estimates feeding drift checks and re-scatters);
-/// `--retune-interval N` sets the fleet-wide chunk count between drift
-/// checks and implies `--retune`. Absent both, `None` keeps the
-/// deterministic static (tuned-rate) accounting byte-for-byte.
-fn parse_retune(args: &Args) -> Result<Option<Retune>, String> {
-    let interval = match args.get("retune-interval") {
-        None => None,
-        Some(s) => {
-            let n: u64 = s.parse().map_err(|_| format!("invalid --retune-interval {s:?}"))?;
-            if n == 0 {
-                return Err("--retune-interval must be at least 1".into());
-            }
-            Some(n)
-        }
-    };
-    if !args.has("retune") && interval.is_none() {
-        return Ok(None);
-    }
-    let mut retune = Retune::default();
-    if let Some(every) = interval {
-        retune.every_chunks = every;
-    }
-    Ok(Some(retune))
 }
 
 /// Resolve the observability options shared by `crack`, `cluster` and

@@ -6,33 +6,47 @@
 //! re-parses the exposition with the same self-contained checker the
 //! artifact path uses, and renders one compact frame per interval —
 //! per-worker live vs tuned rates, anomaly verdicts, per-job progress,
-//! and the measured efficiency next to the paper's 85-90% band. With
-//! `--once` it prints a single frame and exits, which is how the CI
-//! smoke gate scrapes a run mid-flight without any external tooling.
+//! and the measured efficiency next to the paper's 85-90% band. A
+//! worker's live rate is its keys-tested delta between two scrapes over
+//! their spacing, the same rule the straggler detector applies per
+//! window. With `--once` it takes a baseline scrape, waits one interval
+//! and prints a single frame, which is how the CI smoke gate scrapes a
+//! run mid-flight without any external tooling.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use crate::args::Args;
 use eks_telemetry::parse::Json;
 use eks_telemetry::{
-    http_get, names, parse_json, parse_prometheus, read_flight, render_postmortem,
+    http_get, names, parse_json, parse_prometheus, rate_mkeys, read_flight, render_postmortem,
+    PromSample,
 };
 
 /// One worker's row in the dashboard, accumulated across sample names.
 #[derive(Default)]
 struct WorkerRow {
     tested: f64,
-    rate_est: Option<f64>,
+    rate_live: f64,
     rate_tuned: Option<f64>,
     flagged: bool,
 }
 
-/// Render one dashboard frame from a `/metrics` body and a `/jobs`
-/// body. Pure, so the frame shape is unit-testable without sockets.
-fn render_frame(addr: &str, metrics: &str, jobs: &str) -> Result<String, String> {
+fn parse_metrics(body: &str) -> Result<Vec<PromSample>, String> {
+    parse_prometheus(body).map_err(|e| format!("invalid /metrics exposition: {e}"))
+}
+
+/// Render one dashboard frame from a `/metrics` body, the previous
+/// scrape's body with the time since it, and a `/jobs` body. Pure, so
+/// the frame shape is unit-testable without sockets.
+fn render_frame(
+    addr: &str,
+    metrics: &str,
+    prev: (&str, Duration),
+    jobs: &str,
+) -> Result<String, String> {
     use std::fmt::Write as _;
-    let samples =
-        parse_prometheus(metrics).map_err(|e| format!("invalid /metrics exposition: {e}"))?;
+    let samples = parse_metrics(metrics)?;
     let total = |name: &str| -> f64 {
         samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
     };
@@ -59,17 +73,28 @@ fn render_frame(addr: &str, metrics: &str, jobs: &str) -> Result<String, String>
         let row = rows.entry(worker).or_default();
         match s.name.as_str() {
             n if n == names::KEYS_TESTED => row.tested += s.value,
-            n if n == names::WORKER_RATE_EST => row.rate_est = Some(s.value),
             n if n == names::WORKER_RATE_TUNED => row.rate_tuned = Some(s.value),
             n if n == names::WORKER_FLAGGED => row.flagged = s.value > 0.0,
             _ => {}
         }
     }
+    let (prev, elapsed) = prev;
+    let mut before: BTreeMap<&str, f64> = BTreeMap::new();
+    let prev_samples = parse_metrics(prev)?;
+    for s in prev_samples.iter().filter(|s| s.name == names::KEYS_TESTED) {
+        if let Some(worker) = s.label("worker") {
+            *before.entry(worker).or_default() += s.value;
+        }
+    }
+    for (worker, row) in rows.iter_mut() {
+        let delta = row.tested - before.get(worker.as_str()).copied().unwrap_or(0.0);
+        row.rate_live = rate_mkeys(delta.max(0.0), elapsed.as_nanos() as f64);
+    }
     if !rows.is_empty() {
         let _ = writeln!(
             out,
             "  {:<28}{:>12}{:>12}{:>14}  {}",
-            "worker", "est MK/s", "tuned MK/s", "tested", "status"
+            "worker", "live MK/s", "tuned MK/s", "tested", "status"
         );
         for (worker, row) in &rows {
             let fmt_rate = |r: Option<f64>| match r {
@@ -80,7 +105,7 @@ fn render_frame(addr: &str, metrics: &str, jobs: &str) -> Result<String, String>
                 out,
                 "  {:<28}{:>12}{:>12}{:>14.0}  {}",
                 worker,
-                fmt_rate(row.rate_est),
+                format!("{:.2}", row.rate_live),
                 fmt_rate(row.rate_tuned),
                 row.tested,
                 if row.flagged { "FLAGGED" } else { "ok" }
@@ -123,14 +148,16 @@ pub(super) fn cmd_top(args: &Args) -> Result<(), String> {
         "top requires --addr <host:port> (the --listen-metrics address a run printed)",
     )?;
     let interval_ms: u64 = args.get_parse_or("interval", 1000u64)?;
+    let interval = Duration::from_millis(interval_ms.max(100));
     let once = args.has("once");
+    // The live rate column diffs two scrapes: take the baseline first.
+    let mut prev = (scrape_metrics(addr)?, Instant::now());
     loop {
-        // /healthz first: a friendly liveness error beats a parse error
-        // when the run has already exited.
-        http_get(addr, "/healthz").map_err(|e| format!("endpoint {addr} is not healthy: {e}"))?;
-        let metrics = http_get(addr, "/metrics")?;
+        std::thread::sleep(interval);
+        let metrics = scrape_metrics(addr)?;
+        let now = Instant::now();
         let jobs = http_get(addr, "/jobs").unwrap_or_else(|_| "{\"jobs\":[]}".to_string());
-        let frame = render_frame(addr, &metrics, &jobs)?;
+        let frame = render_frame(addr, &metrics, (&prev.0, now - prev.1), &jobs)?;
         if once {
             print!("{frame}");
             return Ok(());
@@ -139,8 +166,15 @@ pub(super) fn cmd_top(args: &Args) -> Result<(), String> {
         print!("\x1b[2J\x1b[H{frame}");
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(100)));
+        prev = (metrics, now);
     }
+}
+
+/// One `/metrics` scrape, checking `/healthz` first: a friendly
+/// liveness error beats a parse error when the run has already exited.
+fn scrape_metrics(addr: &str) -> Result<String, String> {
+    http_get(addr, "/healthz").map_err(|e| format!("endpoint {addr} is not healthy: {e}"))?;
+    http_get(addr, "/metrics")
 }
 
 /// `eks postmortem <flight.json>`: validate the schema stamp and
@@ -168,7 +202,6 @@ mod tests {
         let t = Telemetry::enabled();
         t.counter(names::KEYS_TESTED, &[("worker", "cpu#0")]).add(1200);
         t.counter(names::KEYS_TESTED, &[("worker", "cpu#1")]).add(400);
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "cpu#0")]).set(1.5);
         t.gauge(names::WORKER_RATE_TUNED, &[("worker", "cpu#0")]).set(1.4);
         t.gauge(names::WORKER_FLAGGED, &[("worker", "cpu#1")]).set(1.0);
         t.counter(names::ANOMALIES, &[("kind", "straggler")]).add(2);
@@ -180,9 +213,15 @@ mod tests {
         let t = observed_telemetry();
         let jobs = "{\"ok\":true,\"jobs\":[{\"id\":1,\"name\":\"tiny\",\
                     \"state\":\"running\",\"tested\":77}]}";
-        let frame = render_frame("127.0.0.1:9", &t.render_prometheus(), jobs).unwrap();
-        assert!(frame.contains("keys tested: 1600"), "{frame}");
-        assert!(frame.contains("cpu#0"), "{frame}");
+        let before = t.render_prometheus();
+        t.counter(names::KEYS_TESTED, &[("worker", "cpu#0")]).add(1000);
+        let after = t.render_prometheus();
+        // 1000 keys in 1 ms: 1.00 MK/s live against the tuned 1.40.
+        let prev = (before.as_str(), Duration::from_millis(1));
+        let frame = render_frame("127.0.0.1:9", &after, prev, jobs).unwrap();
+        assert!(frame.contains("keys tested: 2600"), "{frame}");
+        let row = frame.lines().find(|l| l.contains("cpu#0")).expect("cpu#0 row");
+        assert!(row.contains("1.00") && row.contains("1.40"), "{row}");
         assert!(frame.contains("FLAGGED"), "{frame}");
         assert!(frame.contains("straggler=2"), "{frame}");
         assert!(frame.contains("job-1"), "{frame}");
@@ -191,7 +230,7 @@ mod tests {
 
     #[test]
     fn frame_rejects_garbage_metrics() {
-        assert!(render_frame("x", "eks_x{ 1\n", "{}").is_err());
+        assert!(render_frame("x", "eks_x{ 1\n", ("", Duration::ZERO), "{}").is_err());
     }
 
     #[test]
@@ -199,7 +238,7 @@ mod tests {
         let t = observed_telemetry();
         let server = MetricsServer::spawn("127.0.0.1:0", t, None).expect("bind");
         let addr = server.local_addr().to_string();
-        let a = args(&["top", "--addr", &addr, "--once"]);
+        let a = args(&["top", "--addr", &addr, "--once", "--interval", "100"]);
         assert!(run("top", &a).is_ok());
         server.shutdown();
         let dead = args(&["top", "--addr", "127.0.0.1:1", "--once"]);

@@ -24,8 +24,8 @@
 
 use eks_cracker::target::TargetSet;
 use eks_engine::{
-    Backend, DequeLeaf, Dispatcher, IntervalDeques, RateEstimator, ScanMode, SchedOptions,
-    SchedPolicy, WorkerId, WorkerStats,
+    Backend, DequeLeaf, Dispatcher, IntervalDeques, ScanMode, SchedOptions, SchedPolicy,
+    WorkerId, WorkerStats,
 };
 use eks_keyspace::{Interval, Key, KeySpace};
 use eks_telemetry::{names, Telemetry};
@@ -240,11 +240,6 @@ pub struct DynamicSearchConfig {
     /// rate-proportional share, the stealing policies let drained
     /// members rebalance the round's tail.
     pub sched: SchedPolicy,
-    /// Feed each round's observed per-member throughput back into the
-    /// next round's split (closed-loop balancing; a re-joining member
-    /// restarts cold on its tuned rate). Off, every round splits by
-    /// `Backend::tuned_rate` — byte-identical to the frozen behavior.
-    pub retune: bool,
 }
 
 /// Result of a real dynamic search.
@@ -269,9 +264,6 @@ struct SearchMember {
     backend: Box<dyn Backend>,
     worker: WorkerId,
     active: bool,
-    /// Live throughput estimate, seeded with the backend's tuned rate;
-    /// only consulted when [`DynamicSearchConfig::retune`] is on.
-    rate: RateEstimator,
 }
 
 /// Run a real search over `interval` with a dynamic membership: each
@@ -331,8 +323,7 @@ pub fn run_dynamic_search_observed(
         .into_iter()
         .map(|(name, backend)| {
             let worker = dispatcher.register(format!("{name} [{}]", backend.name()));
-            let rate = RateEstimator::new(backend.tuned_rate(algo));
-            SearchMember { name, backend, worker, active: true, rate }
+            SearchMember { name, backend, worker, active: true }
         })
         .collect();
     let mut events: Vec<ScheduledSearchEvent> = events.into_iter().collect();
@@ -340,9 +331,6 @@ pub fn run_dynamic_search_observed(
     let mut remaining = interval.intersect(&space.interval());
     let mut round: u32 = 0;
     let mut rebalances: u32 = 0;
-    // Baseline for diffing the dispatcher's cumulative per-worker stats
-    // into per-round rate observations, indexed by worker id.
-    let mut seen: Vec<(u128, u64)> = Vec::new();
 
     while !remaining.is_empty() {
         // Apply events scheduled before this round.
@@ -360,7 +348,7 @@ pub fn run_dynamic_search_observed(
             }
         });
         for event in due {
-            apply_search(&mut members, event, algo, &dispatcher, telemetry);
+            apply_search(&mut members, event, &dispatcher, telemetry);
             changed = true;
         }
         if changed {
@@ -371,15 +359,11 @@ pub fn run_dynamic_search_observed(
             members.iter().enumerate().filter(|(_, m)| m.active).map(|(i, _)| i).collect();
         assert!(!active.is_empty(), "no active members at round {round}");
 
-        // Take this round's slice and split it by the current rates:
-        // the live, warm-up-gated estimates under retune, the frozen
-        // tuned figures otherwise.
+        // Take this round's slice and split it by the current members'
+        // tuned rates.
         let slice = remaining.take_front(config.round_keys);
-        let weights: Vec<f64> = if config.retune {
-            active.iter().map(|&i| members[i].rate.mkeys()).collect()
-        } else {
-            active.iter().map(|&i| members[i].backend.tuned_rate(algo)).collect()
-        };
+        let weights: Vec<f64> =
+            active.iter().map(|&i| members[i].backend.tuned_rate(algo)).collect();
         if telemetry.is_enabled() && (changed || round == 0) {
             for (&i, &w) in active.iter().zip(&weights) {
                 let m = &members[i];
@@ -405,27 +389,6 @@ pub fn run_dynamic_search_observed(
             .map(|&i| DequeLeaf { worker: members[i].worker, backend: members[i].backend.as_ref() })
             .collect();
         dispatcher.run_deques(&leaves, &deques, SchedOptions::for_policy(config.sched, DYNAMIC_CHUNK));
-        if config.retune {
-            // Gather this round's (tested, busy) delta per member and
-            // feed it into the estimator; publish the live/tuned pair.
-            let stats = dispatcher.worker_stats();
-            seen.resize(stats.len(), (0, 0));
-            for &i in &active {
-                let m = &mut members[i];
-                let w = m.worker.index();
-                let (Some(st), Some(prev)) = (stats.get(w), seen.get_mut(w)) else { continue };
-                m.rate
-                    .observe(st.tested.saturating_sub(prev.0), st.busy_ns.saturating_sub(prev.1));
-                *prev = (st.tested, st.busy_ns);
-                if telemetry.is_enabled() {
-                    let labels = [("worker", m.name.as_str())];
-                    telemetry.gauge(names::WORKER_RATE_EST, &labels).set(m.rate.mkeys());
-                    telemetry
-                        .gauge(names::WORKER_RATE_TUNED, &labels)
-                        .set(m.rate.tuned_mkeys());
-                }
-            }
-        }
         round += 1;
 
         if config.first_hit_only && dispatcher.any_hits() {
@@ -454,7 +417,6 @@ pub fn run_dynamic_search_observed(
 fn apply_search(
     members: &mut Vec<SearchMember>,
     event: SearchEvent,
-    algo: eks_hashes::HashAlgo,
     dispatcher: &Dispatcher<'_>,
     telemetry: &Telemetry,
 ) {
@@ -466,16 +428,13 @@ fn apply_search(
             );
             telemetry.event(names::EVENT_JOIN).field("member", &name).finish();
             // Re-joining a previously-left name resumes its accounting
-            // but restarts its estimator: the new executor's observed
-            // history starts empty, whatever the old one measured.
+            // with the new executor.
             if let Some(m) = members.iter_mut().find(|m| m.name == name) {
                 m.active = true;
-                m.rate = RateEstimator::new(backend.tuned_rate(algo));
                 m.backend = backend;
             } else {
                 let worker = dispatcher.register(format!("{name} [{}]", backend.name()));
-                let rate = RateEstimator::new(backend.tuned_rate(algo));
-                members.push(SearchMember { name, backend, worker, active: true, rate });
+                members.push(SearchMember { name, backend, worker, active: true });
             }
         }
         SearchEvent::Leave { name } => {
@@ -641,7 +600,7 @@ mod tests {
                 &s,
                 &t,
                 s.interval(),
-                DynamicSearchConfig { round_keys: 60_000, first_hit_only: false, sched: SchedPolicy::Static, retune: false },
+                DynamicSearchConfig { round_keys: 60_000, first_hit_only: false, sched: SchedPolicy::Static },
                 vec![ScheduledSearchEvent {
                     before_round: 2,
                     event: SearchEvent::Join { name: "gpu-box".into(), backend: gpu("x").1 },
@@ -669,7 +628,7 @@ mod tests {
                 &s,
                 &t,
                 s.interval(),
-                DynamicSearchConfig { round_keys: 60_000, first_hit_only: false, sched: SchedPolicy::Static, retune: false },
+                DynamicSearchConfig { round_keys: 60_000, first_hit_only: false, sched: SchedPolicy::Static },
                 vec![ScheduledSearchEvent {
                     before_round: 2,
                     event: SearchEvent::Leave { name: "b".into() },
@@ -691,7 +650,7 @@ mod tests {
                 &s,
                 &t,
                 s.interval(),
-                DynamicSearchConfig { round_keys: 50_000, first_hit_only: true, sched: SchedPolicy::Static, retune: false },
+                DynamicSearchConfig { round_keys: 50_000, first_hit_only: true, sched: SchedPolicy::Static },
                 vec![],
             );
             assert_eq!(r.hits.len(), 1);
@@ -713,7 +672,6 @@ mod tests {
                     round_keys: 60_000,
                     first_hit_only: false,
                     sched: SchedPolicy::Static,
-                    retune: false,
                 },
                 vec![
                     ScheduledSearchEvent {
@@ -743,35 +701,6 @@ mod tests {
         }
 
         #[test]
-        fn retuned_dynamic_search_covers_and_publishes_live_rates() {
-            let telemetry = Telemetry::enabled();
-            let s = space();
-            let t = targets(&[b"zzzz"]);
-            let r = run_dynamic_search_observed(
-                vec![cpu("a"), cpu("b")],
-                &s,
-                &t,
-                s.interval(),
-                DynamicSearchConfig {
-                    round_keys: 60_000,
-                    first_hit_only: false,
-                    sched: SchedPolicy::Static,
-                    retune: true,
-                },
-                vec![ScheduledSearchEvent {
-                    before_round: 2,
-                    event: SearchEvent::Join { name: "gpu-box".into(), backend: gpu("x").1 },
-                }],
-                &telemetry,
-            );
-            assert_eq!(r.tested, s.size(), "live weights never drop or double keys");
-            assert_eq!(r.hits.len(), 1);
-            let text = telemetry.render_prometheus();
-            assert!(text.contains(names::WORKER_RATE_EST), "{text}");
-            assert!(text.contains(names::WORKER_RATE_TUNED), "{text}");
-        }
-
-        #[test]
         fn stealing_rounds_cover_exactly_once() {
             let s = space();
             let t = targets(&[b"zzzz"]);
@@ -784,7 +713,6 @@ mod tests {
                     round_keys: 60_000,
                     first_hit_only: false,
                     sched: SchedPolicy::Steal,
-                    retune: false,
                 },
                 vec![],
             );

@@ -169,14 +169,16 @@ mod tests {
     fn fitted_model_agrees_with_real_cpu_measurement() {
         // Calibrate against the real parallel cracker and check the fit
         // is self-consistent (prediction within 40 % of a fresh sample —
-        // CI machines are noisy).
+        // CI machines are noisy). The two timed threads share the host
+        // with the parallel test harness, so every figure is a median:
+        // of 3 runs per calibration point, of 5 for the fresh sample.
         use eks_cracker::{crack_parallel, ParallelConfig, TargetSet};
         use eks_hashes::HashAlgo;
         use eks_keyspace::{Charset, Interval, KeySpace, Order};
         let space =
             KeySpace::new(Charset::lowercase(), 1, 8, Order::FirstCharFastest).unwrap();
         let targets = TargetSet::new(HashAlgo::Md5, &[vec![0u8; 16]]);
-        let mut measure = |n: u64| {
+        let measure_once = |n: u64| {
             let r = crack_parallel(
                 &space,
                 &targets,
@@ -190,10 +192,15 @@ mod tests {
             );
             r.elapsed_s
         };
-        let m = calibrate(&[50_000, 100_000, 200_000, 400_000], &mut measure)
+        let median_of = |runs: usize, n: u64| {
+            let mut times: Vec<f64> = (0..runs).map(|_| measure_once(n)).collect();
+            times.sort_by(f64::total_cmp);
+            *times.get(runs / 2).expect("at least one run")
+        };
+        let m = calibrate(&[50_000, 100_000, 200_000, 400_000], |n| median_of(3, n))
             .expect("fit");
         assert!(m.rate > 1e5, "rate {} should be at least 0.1 MKey/s", m.rate);
-        let fresh = measure(300_000);
+        let fresh = median_of(5, 300_000);
         let predicted = m.predict_time_s(300_000.0);
         let rel = (fresh - predicted).abs() / fresh;
         assert!(rel < 0.40, "prediction off by {rel}: {predicted} vs {fresh}");

@@ -283,27 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn retuned_service_still_completes_with_exact_coverage() {
-        let dir = tmp_spool("retune");
-        let store = JobStore::open(&dir).unwrap();
-        let a = store.submit(spec("a", b"cat", 1)).unwrap();
-        let b = store.submit(spec("b", b"zzz", 2)).unwrap();
-        let service = JobService::new(
-            store,
-            ServiceConfig { round_keys: 8192, retune: true, ..ServiceConfig::default() },
-        );
-        let rounds = run_cluster_jobs(&small_net(), &service, HashAlgo::Md5).unwrap();
-        assert!(rounds >= 1);
-        for (id, word) in [(a.id, &b"cat"[..]), (b.id, b"zzz")] {
-            let rec = service.store().load(id).unwrap();
-            assert_eq!(rec.state, JobState::Completed);
-            assert_eq!(rec.tested, SPACE, "live-weight leases keep exactly-once for {id}");
-            assert!(rec.hits.iter().any(|h| h.key == word), "{id} found its key");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn leave_that_would_empty_the_fleet_is_refused() {
         let telemetry = Telemetry::disabled();
         let net = ClusterNode::device_node("A", vec![Device::geforce_gtx_660()], 1e-3);

@@ -24,7 +24,7 @@ use eks_cracker::resume::Checkpoint;
 use eks_cracker::target::TargetSet;
 use eks_cracker::{LaneBackend, ObservedLaneBackend};
 use eks_engine::{
-    Backend, DequeLeaf, Dispatcher, IntervalDeques, RateBook, ScanMode, ScanReport, SchedOptions,
+    Backend, DequeLeaf, Dispatcher, IntervalDeques, ScanMode, ScanReport, SchedOptions,
     SchedPolicy, WorkerId, WorkerStats,
 };
 use eks_keyspace::{Interval, Key, KeySpace};
@@ -53,11 +53,6 @@ pub struct RoundConfig {
     /// shape, the stealing policies let drained workers rebalance the
     /// round's remaining intervals.
     pub sched: SchedPolicy,
-    /// Feed each round's observed per-worker throughput back into the
-    /// next round's scatter weights (closed-loop balancing, gated by
-    /// the estimator warm-up). Off, every round splits by the frozen
-    /// tuned rates — byte-identical to the pre-retune accounting.
-    pub retune: bool,
 }
 
 /// Result of a round-based search.
@@ -154,14 +149,6 @@ pub fn run_rounds_observed(
     let members = members(root, targets.algo(), telemetry);
     assert!(!members.is_empty(), "cluster has no workers");
     let weights: Vec<f64> = members.iter().map(|m| m.weight).collect();
-    // The feedback ledger: one estimator per member, seeded with the
-    // tuned rate so cold rounds split exactly as before. `None` when
-    // retuning is off — the frozen-weight path stays untouched.
-    let rates = config.retune.then(|| RateBook::new(weights.clone()));
-    // Baseline for diffing the dispatcher's cumulative per-worker stats
-    // into per-round observations (stealing rounds credit busy time at
-    // the scheduler level, not per scan).
-    let mut seen: Vec<(u128, u64)> = vec![(0, 0); members.len()];
     if telemetry.is_enabled() {
         for m in &members {
             telemetry.gauge(names::DEVICE_RATE_MKEYS, &[("device", &m.label)]).set(m.weight);
@@ -189,12 +176,7 @@ pub fn run_rounds_observed(
         // (requeued work lands at the front of the next round); the split
         // weights rotate with it so each slice matches its worker's speed.
         let worker_of = |i: usize| (i + rounds as usize) % members.len();
-        // Closed loop: once estimators are warm the scatter proportions
-        // follow the *observed* rates instead of the tuning step's
-        // frozen figures (the paper's `N_j = N_max · X_j / X_max` with
-        // a live `X_j`).
-        let live: Vec<f64> = rates.as_ref().map_or_else(|| weights.clone(), RateBook::weights);
-        let rotated: Vec<f64> = (0..members.len()).map(|i| live[worker_of(i)]).collect();
+        let rotated: Vec<f64> = (0..members.len()).map(|i| weights[worker_of(i)]).collect();
         let parts = round_iv.split_weighted(&rotated);
 
         // A lost worker's assignment goes straight back to the
@@ -228,10 +210,6 @@ pub fn run_rounds_observed(
                     &deques,
                     SchedOptions::for_policy(config.sched, ROUND_CHUNK),
                 );
-                if let Some(book) = &rates {
-                    observe_stat_deltas(book, &dispatcher.worker_stats(), &mut seen);
-                    publish_rates(telemetry, book, &members);
-                }
                 if config.first_hit_only && dispatcher.any_hits() {
                     break; // the search ends here; no completion bookkeeping needed
                 }
@@ -250,7 +228,7 @@ pub fn run_rounds_observed(
         // Static round: one scan per assignment; the dispatcher gathers
         // hits and accounting as each scan merges, the scope gathers the
         // reports the checkpoint needs.
-        let mut results: Vec<(usize, ScanReport, u64)> = Vec::new();
+        let mut results: Vec<(usize, ScanReport)> = Vec::new();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for &i in &live {
@@ -260,23 +238,16 @@ pub fn run_rounds_observed(
                 let dispatcher = &dispatcher;
                 handles.push(scope.spawn(move || {
                     // Tested counts stay a contiguous prefix of the part,
-                    // which checkpoint completion below relies on. The
-                    // wall time of the whole assignment is this round's
-                    // rate observation for the member.
-                    let t0 = std::time::Instant::now();
-                    let out = dispatcher.scan_as(id, member.backend.as_ref(), part);
-                    (i, out, t0.elapsed().as_nanos() as u64)
+                    // which checkpoint completion below relies on.
+                    (i, dispatcher.scan_as(id, member.backend.as_ref(), part))
                 }));
             }
             results =
                 handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
         });
 
-        // Gather: account completed intervals and feed the estimators.
-        for (i, out, elapsed_ns) in &results {
-            if let Some(book) = &rates {
-                book.observe(worker_of(*i), out.tested, *elapsed_ns);
-            }
+        // Gather: account completed intervals.
+        for (i, out) in &results {
             let part = &parts[*i];
             // With first-hit cancellation a worker may stop early; only
             // the scanned prefix counts as complete.
@@ -287,9 +258,6 @@ pub fn run_rounds_observed(
             // requeue keeps the accounting exact.
             let rest = Interval::new(part.start + scanned.len, part.len - scanned.len);
             checkpoint.requeue(rest);
-        }
-        if let Some(book) = &rates {
-            publish_rates(telemetry, book, &members);
         }
         // Round boundary: let an attached live plane close a window and
         // run its anomaly pass over this round's deltas.
@@ -315,31 +283,6 @@ pub fn run_rounds_observed(
         requeued,
         per_device: report.per_worker,
         stats: report.stats,
-    }
-}
-
-/// Diff a cumulative per-worker stats snapshot against `seen` and feed
-/// each worker's `(tested, busy)` delta into its estimator. Stealing
-/// rounds credit busy time when each leaf's run loop exits, so this is
-/// exactly one observation per member per round.
-fn observe_stat_deltas(book: &RateBook, stats: &[WorkerStats], seen: &mut [(u128, u64)]) {
-    for (slot, st) in stats.iter().enumerate() {
-        let Some(prev) = seen.get_mut(slot) else { continue };
-        book.observe(slot, st.tested.saturating_sub(prev.0), st.busy_ns.saturating_sub(prev.1));
-        *prev = (st.tested, st.busy_ns);
-    }
-}
-
-/// Publish the live/tuned gauge pair for every member — the feedstock
-/// of the rate-drift column in `eks report`.
-fn publish_rates(telemetry: &Telemetry, book: &RateBook, members: &[Member]) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    for (slot, m) in members.iter().enumerate() {
-        let labels = [("worker", m.label.as_str())];
-        telemetry.gauge(names::WORKER_RATE_EST, &labels).set(book.mkeys(slot));
-        telemetry.gauge(names::WORKER_RATE_TUNED, &labels).set(book.tuned_mkeys(slot));
     }
 }
 
@@ -369,7 +312,7 @@ mod tests {
             &s,
             &t,
             s.interval(),
-            RoundConfig { round_keys: 50_000, first_hit_only: true, lose_worker: None, sched: SchedPolicy::Static, retune: false },
+            RoundConfig { round_keys: 50_000, first_hit_only: true, lose_worker: None, sched: SchedPolicy::Static },
         );
         assert_eq!(r.hits[0].1.as_bytes(), b"bcd");
         assert!(r.tested < s.size(), "stopped before sweeping everything");
@@ -385,7 +328,7 @@ mod tests {
             &s,
             &t,
             s.interval(),
-            RoundConfig { round_keys: 60_000, first_hit_only: false, lose_worker: None, sched: SchedPolicy::Static, retune: false },
+            RoundConfig { round_keys: 60_000, first_hit_only: false, lose_worker: None, sched: SchedPolicy::Static },
         );
         assert_eq!(r.tested, s.size());
         assert_eq!(r.hits.len(), 1);
@@ -406,7 +349,7 @@ mod tests {
             &s,
             &t,
             s.interval(),
-            RoundConfig { round_keys: 60_000, first_hit_only: false, lose_worker: Some(0), sched: SchedPolicy::Static, retune: false },
+            RoundConfig { round_keys: 60_000, first_hit_only: false, lose_worker: Some(0), sched: SchedPolicy::Static },
         );
         assert_eq!(r.tested, s.size(), "lost work is eventually covered");
         assert!(r.requeued > 0);
@@ -423,7 +366,7 @@ mod tests {
             &s,
             &t,
             s.interval(),
-            RoundConfig { round_keys: 100_000, first_hit_only: false, lose_worker: None, sched: SchedPolicy::Static, retune: false },
+            RoundConfig { round_keys: 100_000, first_hit_only: false, lose_worker: None, sched: SchedPolicy::Static },
         );
         let share = |pat: &str| {
             r.per_device
@@ -451,7 +394,6 @@ mod tests {
                 first_hit_only: false,
                 lose_worker: None,
                 sched: SchedPolicy::Static,
-                retune: false,
             },
             &telemetry,
         );
@@ -470,56 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn retuned_rounds_still_cover_exactly_once() {
-        let net = paper_network(1e-3);
-        let s = space();
-        let t = targets(&[b"zzzz"]);
-        for sched in [SchedPolicy::Static, SchedPolicy::Steal] {
-            let r = run_rounds(
-                &net,
-                &s,
-                &t,
-                s.interval(),
-                RoundConfig {
-                    round_keys: 60_000,
-                    first_hit_only: false,
-                    lose_worker: None,
-                    sched,
-                    retune: true,
-                },
-            );
-            assert_eq!(r.tested, s.size(), "{sched}: live weights never drop or double keys");
-            assert_eq!(r.hits.len(), 1, "{sched}");
-        }
-    }
-
-    #[test]
-    fn retuned_rounds_publish_live_rate_gauges() {
-        let telemetry = Telemetry::enabled();
-        let net = paper_network(1e-3);
-        let s = space();
-        let t = targets(&[b"zzzz"]);
-        let r = run_rounds_observed(
-            &net,
-            &s,
-            &t,
-            s.interval(),
-            RoundConfig {
-                round_keys: 100_000,
-                first_hit_only: false,
-                lose_worker: None,
-                sched: SchedPolicy::Static,
-                retune: true,
-            },
-            &telemetry,
-        );
-        assert_eq!(r.tested, s.size());
-        let text = telemetry.render_prometheus();
-        assert!(text.contains(names::WORKER_RATE_EST), "{text}");
-        assert!(text.contains(names::WORKER_RATE_TUNED), "{text}");
-    }
-
-    #[test]
     fn round_workers_run_backend_labelled_leaves() {
         let net = paper_network(1e-3).with_cpu("host-cpu", 2);
         let s = space();
@@ -529,7 +421,7 @@ mod tests {
             &s,
             &t,
             s.interval(),
-            RoundConfig { round_keys: 80_000, first_hit_only: false, lose_worker: None, sched: SchedPolicy::Static, retune: false },
+            RoundConfig { round_keys: 80_000, first_hit_only: false, lose_worker: None, sched: SchedPolicy::Static },
         );
         assert_eq!(r.tested, s.size());
         assert!(r.per_device.iter().any(|(n, _)| n.contains("[simgpu]")));

@@ -22,8 +22,8 @@ use eks_keyspace::{Interval, Key, KeySpace};
 use eks_cracker::target::TargetSet;
 use eks_cracker::AutoBackend;
 use eks_engine::{
-    Backend, DequeLeaf, Dispatcher, IntervalDeques, Retune, ScanMode, SchedOptions, SchedPolicy,
-    WorkerId, WorkerStats,
+    Backend, DequeLeaf, Dispatcher, IntervalDeques, ScanMode, SchedOptions, SchedPolicy, WorkerId,
+    WorkerStats,
 };
 use eks_telemetry::{names, Telemetry};
 
@@ -139,34 +139,6 @@ pub fn run_cluster_search_observed(
     sched: SchedPolicy,
     telemetry: &Telemetry,
 ) -> ClusterSearchResult {
-    run_cluster_search_retuned(
-        root,
-        space,
-        targets,
-        interval,
-        first_hit_only,
-        sched,
-        None,
-        telemetry,
-    )
-}
-
-/// [`run_cluster_search_observed`] with an optional closed-loop
-/// [`Retune`]: when set, every leaf feeds its chunk timings into a
-/// shared rate book and the deques are re-scattered whenever the live
-/// estimated-time-to-drain divergence exceeds the drift threshold.
-/// `None` reproduces [`run_cluster_search_observed`] exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cluster_search_retuned(
-    root: &ClusterNode,
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    first_hit_only: bool,
-    sched: SchedPolicy,
-    retune: Option<Retune>,
-    telemetry: &Telemetry,
-) -> ClusterSearchResult {
     let dispatcher = Dispatcher::new(space, targets, ScanMode::from_first_hit(first_hit_only))
         .with_telemetry(telemetry.clone());
     let mut leaves = Vec::new();
@@ -181,11 +153,11 @@ pub fn run_cluster_search_retuned(
             .iter()
             .map(|l| DequeLeaf { worker: l.worker, backend: l.backend.as_ref() })
             .collect();
-        let mut opts = SchedOptions::for_policy(sched, CLUSTER_CHUNK);
-        if let Some(r) = retune {
-            opts = opts.with_retune(r);
-        }
-        dispatcher.run_deques(&deque_leaves, &deques, opts);
+        dispatcher.run_deques(
+            &deque_leaves,
+            &deques,
+            SchedOptions::for_policy(sched, CLUSTER_CHUNK),
+        );
     }
     let merge = telemetry.span(names::SPAN_MERGE);
     let report = dispatcher.finish();
@@ -202,6 +174,23 @@ pub fn run_cluster_search_retuned(
             .set(result.parallel_efficiency());
     }
     result
+}
+
+/// [`run_cluster_search_observed`] under the call shape the repository
+/// benchmark (`perfbench`) was written against. The seventh parameter
+/// is uninhabited, so only `None` compiles.
+#[allow(clippy::too_many_arguments)]
+pub fn run_cluster_search_retuned(
+    root: &ClusterNode,
+    space: &KeySpace,
+    targets: &TargetSet,
+    interval: Interval,
+    first_hit_only: bool,
+    sched: SchedPolicy,
+    _none: Option<std::convert::Infallible>,
+    telemetry: &Telemetry,
+) -> ClusterSearchResult {
+    run_cluster_search_observed(root, space, targets, interval, first_hit_only, sched, telemetry)
 }
 
 /// Dispatch weight of a subtree: the sum of its devices' and CPU

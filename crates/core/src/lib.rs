@@ -26,7 +26,6 @@
 
 pub mod cost;
 pub mod driver;
-pub mod parallel;
 pub mod partition;
 pub mod pattern;
 pub mod prop;
@@ -34,7 +33,6 @@ pub mod space;
 
 pub use cost::{measure_cost_model, CostModel, DispatchCosts, Efficiency};
 pub use driver::{search_interval, search_interval_with, SearchOutcome};
-pub use parallel::{parallel_search, ParallelDriver, ParallelOutcome};
 pub use partition::{balance_workloads, NodeRate, Partition, WorkAssignment};
 pub use pattern::{Master, MergeOutcome, Worker, WorkerReport};
 pub use space::{CandidateTest, Merge, SolutionSpace};

@@ -11,9 +11,7 @@
 
 use std::time::Instant;
 
-use eks_engine::{
-    Backend, Dispatcher, ProgressEvent, Retune, ScanMode, SchedOptions, SchedPolicy, WorkerStats,
-};
+use eks_engine::{Backend, Dispatcher, ProgressEvent, ScanMode, SchedPolicy, WorkerStats};
 use eks_keyspace::{Interval, Key, KeySpace};
 use eks_telemetry::{names, Telemetry};
 
@@ -35,10 +33,6 @@ pub struct ParallelConfig {
     pub lanes: Lanes,
     /// Scheduling policy across threads (adaptive stealing by default).
     pub sched: SchedPolicy,
-    /// Closed-loop retuning: live per-thread rate estimates feed
-    /// periodic drift checks and deque re-scatters. `None` (the
-    /// default) reproduces the static accounting exactly.
-    pub retune: Option<Retune>,
 }
 
 impl Default for ParallelConfig {
@@ -58,7 +52,6 @@ impl ParallelConfig {
             first_hit_only: true,
             lanes: Lanes::default(),
             sched: SchedPolicy::Steal,
-            retune: None,
         }
     }
 
@@ -194,12 +187,7 @@ pub fn crack_parallel_backend_observed(
     )
     .with_telemetry(telemetry.clone())
     .on_progress(progress);
-    assert!(config.chunk >= 1, "chunk must be positive");
-    let mut opts = SchedOptions::for_policy(config.sched, config.chunk as u128);
-    if let Some(retune) = config.retune {
-        opts = opts.with_retune(retune);
-    }
-    dispatcher.run_workers_opts(backend, interval, config.threads, opts);
+    dispatcher.run_workers(backend, interval, config.threads, config.chunk, config.sched);
     let report = dispatcher.finish();
     run_span.finish();
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);

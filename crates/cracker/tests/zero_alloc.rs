@@ -11,36 +11,37 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 
 use eks_cracker::batch::{crack_interval_batched, Lanes};
 use eks_cracker::TargetSet;
 use eks_hashes::HashAlgo;
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    // Count only while the measuring thread says so: libtest's own
-    // channel machinery allocates concurrently on other threads and must
-    // not pollute the measurement. `const` init so the TLS access itself
+    // Count only while the measuring thread says so, and into that
+    // thread's own counter: libtest runs the tests in parallel and its
+    // channel machinery allocates on other threads, and neither may
+    // pollute a measurement. `const` init so the TLS access itself
     // never allocates.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_here() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+/// Count one allocation on this thread if it is measuring.
+fn count_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 struct CountingAlloc;
 
 // SAFETY: pure pass-through to the system allocator; the counter is a
-// relaxed atomic increment with no other side effects.
+// thread-local increment with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -49,9 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -60,11 +59,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

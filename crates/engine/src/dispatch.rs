@@ -44,28 +44,19 @@
 #![allow(clippy::indexing_slicing)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use eks_keyspace::{Interval, Key, KeySpace};
-use eks_telemetry::{names, Counter, Gauge, Histogram, LivePlane, Telemetry};
+use eks_telemetry::{names, Counter, Histogram, Telemetry};
 
 use crate::backend::{Backend, ScanMode, ScanReport};
-use crate::rate::{eta_drift_pct, RateBook, RetuneControl};
-use crate::steal::{ChunkPolicy, IntervalDeques, SchedPolicy, StealOutcome, WorkerStats};
+use crate::steal::{ChunkPolicy, IntervalDeques, SchedPolicy, WorkerStats};
 use crate::target::TargetSet;
 
 /// Handle to a registered worker (index into the accounting table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerId(usize);
-
-impl WorkerId {
-    /// The registration index, as used by [`DispatchReport::per_worker`]
-    /// and [`Dispatcher::worker_stats`] snapshots.
-    pub fn index(&self) -> usize {
-        self.0
-    }
-}
 
 /// A progress observation, emitted after each merged scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +146,6 @@ struct DispatchInstruments {
     chunks: Counter,
     scan_ns: Histogram,
     cancel_latency_ns: Histogram,
-    rescatters: Counter,
 }
 
 impl DispatchInstruments {
@@ -164,7 +154,6 @@ impl DispatchInstruments {
             chunks: telemetry.counter(names::CHUNKS, &[]),
             scan_ns: telemetry.histogram(names::SCAN_NS, &[]),
             cancel_latency_ns: telemetry.histogram(names::CANCEL_LATENCY_NS, &[]),
-            rescatters: telemetry.counter(names::RESCATTERS, &[]),
         }
     }
 }
@@ -182,29 +171,6 @@ pub struct DequeLeaf<'b> {
     pub backend: &'b dyn Backend,
 }
 
-/// The closed-loop retune knobs: when set on [`SchedOptions`], every
-/// worker feeds its chunk timings into a shared [`RateBook`], and every
-/// `every_chunks` pops one worker is elected to compare the live rates
-/// against the queued remainders ([`eta_drift_pct`]) and re-scatter the
-/// deques when the divergence exceeds `drift_pct`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retune {
-    /// Fleet-wide chunk count between drift checks.
-    pub every_chunks: u64,
-    /// Estimated-time-to-drain divergence (percent) that triggers a
-    /// re-scatter.
-    pub drift_pct: u32,
-}
-
-impl Default for Retune {
-    fn default() -> Self {
-        // A check every 8 chunks keeps the controller off the hot path;
-        // 25 % drift is well past split_weighted rounding noise but far
-        // below the 100 % a starved worker shows.
-        Self { every_chunks: 8, drift_pct: 25 }
-    }
-}
-
 /// Knobs of a [`Dispatcher::run_deques`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedOptions {
@@ -212,81 +178,13 @@ pub struct SchedOptions {
     pub chunk: ChunkPolicy,
     /// Whether drained workers steal from remote deques.
     pub steal: bool,
-    /// Closed-loop adaptive rebalancing; `None` reproduces the static
-    /// (tuned-rate) accounting exactly.
-    pub retune: Option<Retune>,
 }
 
 impl SchedOptions {
     /// The options a [`SchedPolicy`] names, with `chunk` as the fixed
-    /// size (queue mode) or guided floor (static/steal modes). Retune
-    /// is off; see [`SchedOptions::with_retune`].
+    /// size (queue mode) or guided floor (static/steal modes).
     pub fn for_policy(policy: SchedPolicy, chunk: u128) -> Self {
-        Self { chunk: policy.chunk_policy(chunk), steal: policy.steals(), retune: None }
-    }
-
-    /// The same options with closed-loop retuning enabled.
-    pub fn with_retune(mut self, retune: Retune) -> Self {
-        self.retune = Some(retune);
-        self
-    }
-}
-
-/// Shared state of one `run_deques` round when retuning is on.
-struct RetuneShared {
-    rates: RateBook,
-    control: RetuneControl,
-    drift_pct: f64,
-    steal: bool,
-    /// Per-slot `(worker label, rate-est gauge, rate-tuned gauge)`:
-    /// the elected retune tick publishes the live estimates through
-    /// these, so a mid-run scrape sees current rates, not the tuned
-    /// priors — the feedstock of the straggler detector.
-    slots: Vec<(String, Gauge, Gauge)>,
-    /// The live observability plane, when one is attached: flagged
-    /// workers get their re-scatter weight halved.
-    plane: Option<Arc<LivePlane>>,
-}
-
-impl RetuneShared {
-    /// Export the live rate estimates (and tuned baselines) as
-    /// per-worker gauges — run at every elected retune tick and once
-    /// more as the run ends.
-    fn publish_rates(&self) {
-        for (slot, (_, est, tuned)) in self.slots.iter().enumerate() {
-            est.set(self.rates.mkeys(slot));
-            tuned.set(self.rates.tuned_mkeys(slot));
-        }
-    }
-
-    /// Drift check + re-scatter, run by the elected worker. Returns
-    /// true when a re-scatter happened.
-    fn maybe_rescatter(&self, deques: &IntervalDeques) -> bool {
-        let remaining: Vec<u128> = (0..deques.len()).map(|s| deques.remaining(s)).collect();
-        let mut rates = self.rates.weights();
-        if let Some(plane) = &self.plane {
-            // An anomaly-flagged worker is deprioritized beyond what its
-            // measured rate already says: halving its weight sheds keys
-            // onto healthy slots now instead of waiting for the rate
-            // estimate to decay chunk by chunk.
-            for (slot, (label, _, _)) in self.slots.iter().enumerate() {
-                if plane.is_flagged(label) {
-                    rates[slot] *= 0.5;
-                }
-            }
-        }
-        // Under a stealing policy an empty slot feeds itself, so only
-        // imbalance among loaded slots argues for a re-scatter; under
-        // static scatter the empty slots are exactly the starved ones.
-        let drift = eta_drift_pct(&remaining, &rates, !self.steal);
-        if drift <= self.drift_pct {
-            return false;
-        }
-        let changed = deques.rescatter(&rates);
-        if changed {
-            self.control.record_rescatter();
-        }
-        changed
+        Self { chunk: policy.chunk_policy(chunk), steal: policy.steals() }
     }
 }
 
@@ -379,14 +277,6 @@ impl<'a> Dispatcher<'a> {
     /// True once any hit has been gathered.
     pub fn any_hits(&self) -> bool {
         !self.gathered.lock().expect("dispatch lock").hits.is_empty()
-    }
-
-    /// A point-in-time copy of the gathered per-worker stats — the live
-    /// counterpart of [`DispatchReport::stats`]. Round masters diff
-    /// successive snapshots to turn each round's `(tested, busy)`
-    /// deltas into rate observations.
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.gathered.lock().expect("dispatch lock").workers.clone()
     }
 
     /// Register a worker for accounting; labels appear in
@@ -491,38 +381,12 @@ impl<'a> Dispatcher<'a> {
     pub fn run_deques(&self, leaves: &[DequeLeaf<'_>], deques: &IntervalDeques, opts: SchedOptions) {
         assert!(!leaves.is_empty(), "need at least one leaf");
         assert_eq!(leaves.len(), deques.len(), "one deque slot per leaf");
-        let retune = opts.retune.map(|r| {
-            let slots = {
-                let g = self.gathered.lock().expect("dispatch lock");
-                leaves
-                    .iter()
-                    .map(|l| {
-                        let label = g.workers[l.worker.0].label.clone();
-                        let est = self
-                            .telemetry
-                            .gauge(names::WORKER_RATE_EST, &[("worker", label.as_str())]);
-                        let tuned = self
-                            .telemetry
-                            .gauge(names::WORKER_RATE_TUNED, &[("worker", label.as_str())]);
-                        (label, est, tuned)
-                    })
-                    .collect()
-            };
-            RetuneShared {
-                rates: RateBook::new(
-                    leaves.iter().map(|l| l.backend.tuned_rate(self.targets.algo())).collect(),
-                ),
-                control: RetuneControl::new(r.every_chunks),
-                drift_pct: f64::from(r.drift_pct),
-                steal: opts.steal,
-                slots,
-                plane: self.telemetry.plane(),
-            }
-        });
-        let retune = retune.as_ref();
+        if self.telemetry.is_enabled() {
+            self.publish_tuned_rates(leaves);
+        }
         std::thread::scope(|scope| {
             for (slot, leaf) in leaves.iter().enumerate() {
-                scope.spawn(move || self.drive_leaf(slot, leaf, deques, opts, retune));
+                scope.spawn(move || self.drive_leaf(slot, leaf, deques, opts));
             }
         });
         // Fold the split counters into the owning workers' stats once the
@@ -531,50 +395,37 @@ impl<'a> Dispatcher<'a> {
         for (slot, leaf) in leaves.iter().enumerate() {
             self.credit_sched(leaf.worker, 0, deques.splits(slot), 0, 0);
         }
-        if let Some(shared) = retune {
-            // Final export of the live-rate estimates — the feedstock of
-            // the rate-drift column in `eks report`.
-            shared.publish_rates();
+    }
+
+    /// Set each worker's `eks_worker_rate_tuned_mkeys` gauge to the sum
+    /// of its leaves' tuned rates: the baseline the straggler rule
+    /// compares the worker's windowed keys-tested rate against.
+    fn publish_tuned_rates(&self, leaves: &[DequeLeaf<'_>]) {
+        let labels: Vec<String> = {
+            let g = self.gathered.lock().expect("dispatch lock");
+            g.workers.iter().map(|w| w.label.clone()).collect()
+        };
+        let mut tuned = vec![0.0; labels.len()];
+        for leaf in leaves {
+            tuned[leaf.worker.0] += leaf.backend.tuned_rate(self.targets.algo());
+        }
+        for leaf in leaves {
+            let label = labels[leaf.worker.0].as_str();
+            self.telemetry
+                .gauge(names::WORKER_RATE_TUNED, &[("worker", label)])
+                .set(tuned[leaf.worker.0]);
         }
     }
 
-    /// Scan one chunk inside the worker loop: time it, feed the rate
-    /// estimator, run the elected drift check. Returns true when the
-    /// worker must exit (stop raised or first hit found).
-    fn drive_chunk(
-        &self,
-        slot: usize,
-        leaf: &DequeLeaf<'_>,
-        deques: &IntervalDeques,
-        retune: Option<&RetuneShared>,
-        chunk: Interval,
-        busy_ns: &mut u64,
-    ) -> bool {
-        let t0 = Instant::now();
-        let out = self.scan_as(leaf.worker, leaf.backend, chunk);
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        *busy_ns += elapsed;
-        if let Some(shared) = retune {
-            shared.rates.observe(slot, out.tested, elapsed);
-            if shared.control.tick() {
-                shared.publish_rates();
-                if !self.stop.load(Ordering::Relaxed) && shared.maybe_rescatter(deques) {
-                    self.instruments.rescatters.inc();
-                }
-            }
-        }
-        self.stop.load(Ordering::Relaxed)
-            || (self.mode.first_hit_only() && !out.hits.is_empty())
-    }
-
-    /// One worker's pop/scan/steal loop.
+    /// One worker's loop: pop and scan its own chunks, steal when
+    /// drained (unless the policy is static), exit when nothing is
+    /// left or the stop flag is raised.
     fn drive_leaf(
         &self,
         slot: usize,
         leaf: &DequeLeaf<'_>,
         deques: &IntervalDeques,
         opts: SchedOptions,
-        retune: Option<&RetuneShared>,
     ) {
         let mut steals = 0u64;
         let mut idle_ns = 0u64;
@@ -583,83 +434,30 @@ impl<'a> Dispatcher<'a> {
             if self.stop.load(Ordering::Relaxed) {
                 break;
             }
-            loop {
-                let chunk = match retune {
-                    Some(shared) => {
-                        deques.pop_rated(slot, opts.chunk, shared.rates.keys_per_sec(slot))
-                    }
-                    None => deques.pop(slot, opts.chunk),
-                };
-                let Some(chunk) = chunk else { break };
-                if self.drive_chunk(slot, leaf, deques, retune, chunk, &mut busy_ns) {
+            while let Some(chunk) = deques.pop(slot, opts.chunk) {
+                let t0 = Instant::now();
+                let out = self.scan_as(leaf.worker, leaf.backend, chunk);
+                busy_ns += t0.elapsed().as_nanos() as u64;
+                if self.stop.load(Ordering::Relaxed)
+                    || (self.mode.first_hit_only() && !out.hits.is_empty())
+                {
                     break 'work;
                 }
             }
             if !opts.steal {
-                if retune.is_none() {
-                    break; // pure static scatter: drained means done
-                }
-                // Static scatter with retune on: a drained worker waits
-                // for the controller to move work its way instead of
-                // exiting while the fleet still holds keys. Retirement
-                // is the handshake that makes the wait safe: work is
-                // only assigned to slots that have not retired.
-                let mut spins = 0u32;
-                loop {
-                    if self.stop.load(Ordering::Relaxed) {
-                        break 'work;
-                    }
-                    if deques.remaining(slot) > 0 {
-                        continue 'work;
-                    }
-                    if deques.total_remaining() == 0 {
-                        let _ = deques.retire_if_empty(slot);
-                        break 'work;
-                    }
-                    spins += 1;
-                    if spins < 16 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                }
+                break; // static scatter: drained means done
             }
             let t0 = Instant::now();
-            let outcome = deques.try_steal(slot);
+            let victim = deques.steal_into(slot);
             idle_ns += t0.elapsed().as_nanos() as u64;
-            match outcome {
-                StealOutcome::Stolen { victim } => {
-                    steals += 1;
-                    self.telemetry
-                        .event(names::EVENT_STEAL)
-                        .worker(leaf.worker.0)
-                        .field("slot", slot)
-                        .field("victim", victim)
-                        .finish();
-                }
-                StealOutcome::Handoff { victim, chunk } => {
-                    // A concurrent re-scatter refilled this slot while
-                    // the steal was in flight; the split half cannot be
-                    // installed, so scan it directly.
-                    steals += 1;
-                    self.telemetry
-                        .event(names::EVENT_STEAL)
-                        .worker(leaf.worker.0)
-                        .field("slot", slot)
-                        .field("victim", victim)
-                        .finish();
-                    if self.drive_chunk(slot, leaf, deques, retune, chunk, &mut busy_ns) {
-                        break 'work;
-                    }
-                }
-                StealOutcome::Drained => {
-                    // Nothing to steal; exit unless a re-scatter slipped
-                    // work into this slot in the meantime.
-                    if deques.retire_if_empty(slot) {
-                        break;
-                    }
-                }
-            }
+            let Some(victim) = victim else { break };
+            steals += 1;
+            self.telemetry
+                .event(names::EVENT_STEAL)
+                .worker(leaf.worker.0)
+                .field("slot", slot)
+                .field("victim", victim)
+                .finish();
         }
         self.credit_sched(leaf.worker, steals, 0, idle_ns, busy_ns);
     }
@@ -681,23 +479,6 @@ impl<'a> Dispatcher<'a> {
         sched: SchedPolicy,
     ) {
         assert!(chunk >= 1, "chunk must be positive");
-        let opts = SchedOptions::for_policy(sched, chunk as u128);
-        self.run_workers_opts(backend, interval, workers, opts);
-    }
-
-    /// [`Dispatcher::run_workers`] with the full [`SchedOptions`] knob
-    /// set, for callers that want closed-loop retuning on top of a
-    /// named policy.
-    ///
-    /// # Panics
-    /// Panics when `workers == 0`.
-    pub fn run_workers_opts(
-        &self,
-        backend: &dyn Backend,
-        interval: Interval,
-        workers: usize,
-        opts: SchedOptions,
-    ) {
         assert!(workers >= 1, "need at least one worker");
         let clamped = interval.intersect(&self.space.interval());
         let ids: Vec<WorkerId> = (0..workers)
@@ -706,7 +487,7 @@ impl<'a> Dispatcher<'a> {
         let leaves: Vec<DequeLeaf<'_>> =
             ids.iter().map(|&worker| DequeLeaf { worker, backend }).collect();
         let deques = IntervalDeques::scatter(clamped, &vec![1.0; workers]);
-        self.run_deques(&leaves, &deques, opts);
+        self.run_deques(&leaves, &deques, SchedOptions::for_policy(sched, chunk as u128));
     }
 
     /// The classic work-queue frontend, kept as a thin wrapper over
@@ -879,7 +660,7 @@ mod tests {
         d.run_deques(
             &leaves,
             &deques,
-            SchedOptions { chunk: ChunkPolicy::Guided { min: 256 }, steal: true, retune: None },
+            SchedOptions { chunk: ChunkPolicy::Guided { min: 256 }, steal: true },
         );
         let r = d.finish();
         assert_eq!(r.tested, s.size(), "nothing lost, nothing doubled");

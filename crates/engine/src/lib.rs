@@ -38,7 +38,6 @@ pub mod backend;
 pub mod checkpoint;
 pub mod dispatch;
 pub mod poll;
-pub mod rate;
 pub mod steal;
 pub mod target;
 
@@ -46,13 +45,10 @@ pub use backend::{Backend, BackendKind, ScanMode, ScanReport};
 pub use checkpoint::{
     Checkpoint, CheckpointError, SearchCheckpoint, CHECKPOINT_SCHEMA_VERSION,
 };
-pub use dispatch::{
-    DequeLeaf, DispatchReport, Dispatcher, ProgressEvent, Retune, SchedOptions, WorkerId,
-};
+pub use dispatch::{DequeLeaf, DispatchReport, Dispatcher, ProgressEvent, SchedOptions, WorkerId};
 pub use poll::{poll_quantum, PollCursor, POLL_CHUNK};
-pub use rate::{eta_drift_pct, RateBook, RateEstimator, RetuneControl, WARMUP_SAMPLES};
 pub use steal::{
-    rescatter_plan, steal_split, ChunkPolicy, IntervalDeques, ScatterError, SchedPolicy,
-    StealOutcome, WorkerStats, GUIDED_DIVISOR,
+    steal_split, ChunkPolicy, IntervalDeques, ScatterError, SchedPolicy, WorkerStats,
+    GUIDED_DIVISOR,
 };
 pub use target::{HashTarget, TargetSet};

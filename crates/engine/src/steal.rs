@@ -33,7 +33,7 @@
 // escalation guards new code, not these proven accesses.
 #![allow(clippy::indexing_slicing)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use eks_keyspace::Interval;
@@ -54,53 +54,22 @@ pub enum ChunkPolicy {
         /// Smallest chunk the schedule decays to.
         min: u128,
     },
-    /// Rate-aware sizing: pop however many keys the worker's live rate
-    /// estimate says fit in `target_ms` milliseconds, never less than
-    /// `min`. With no rate available (cold estimator, contexts without
-    /// a [`crate::rate::RateBook`]) it degrades to the guided rule, so
-    /// [`ChunkPolicy::next_len`] stays total.
-    Timed {
-        /// Wall-clock budget one chunk should take, in milliseconds.
-        target_ms: u64,
-        /// Smallest chunk the schedule decays to.
-        min: u128,
-    },
 }
 
 impl ChunkPolicy {
     /// Keys the next pop should take from a deque holding `remaining`
-    /// keys, without rate information. Positive whenever `remaining`
-    /// is, zero when the deque is already empty, and never more than
-    /// `remaining` — so a pop can always be satisfied exactly.
+    /// keys. Positive whenever `remaining` is, zero when the deque is
+    /// already empty, and never more than `remaining` — so a pop can
+    /// always be satisfied exactly.
     pub fn next_len(&self, remaining: u128) -> u128 {
         if remaining == 0 {
             return 0;
         }
         let n = match *self {
             ChunkPolicy::Fixed(n) => n.max(1),
-            ChunkPolicy::Guided { min } | ChunkPolicy::Timed { min, .. } => {
-                (remaining / GUIDED_DIVISOR).max(min).max(1)
-            }
+            ChunkPolicy::Guided { min } => (remaining / GUIDED_DIVISOR).max(min).max(1),
         };
         n.min(remaining)
-    }
-
-    /// Keys the next pop should take given a live rate estimate in keys
-    /// per second. [`ChunkPolicy::Timed`] converts the rate into a
-    /// time-budgeted size; the other policies ignore the rate. A
-    /// non-finite or non-positive rate falls back to [`Self::next_len`].
-    pub fn next_len_rated(&self, remaining: u128, keys_per_sec: f64) -> u128 {
-        match *self {
-            ChunkPolicy::Timed { target_ms, min } if keys_per_sec.is_finite() && keys_per_sec > 0.0 => {
-                if remaining == 0 {
-                    return 0;
-                }
-                let budget = (keys_per_sec * target_ms as f64 / 1e3).floor();
-                let n = if budget >= remaining as f64 { remaining } else { budget as u128 };
-                n.max(min).max(1).min(remaining)
-            }
-            _ => self.next_len(remaining),
-        }
     }
 }
 
@@ -233,92 +202,6 @@ fn check_weights(weights: &[f64]) -> Result<(), ScatterError> {
     Ok(())
 }
 
-/// The re-scatter arithmetic, as a pure function shared with the
-/// `eks-verify` model checker (like [`steal_split`] and
-/// [`ChunkPolicy::next_len`], so the verified transition relation
-/// cannot drift from the shipped code).
-///
-/// `remainders[i]` is what slot `i` still holds; `weights[i]` is slot
-/// `i`'s live rate (zero for retired or excluded slots). The plan cuts
-/// the held ranges into one contiguous piece per slot, sized so each
-/// slot's share is proportional to its weight — the closed-loop version
-/// of the paper's `N_j = N_max · X_j / X_max` scatter. Because a slot
-/// holds a *single* contiguous range, pieces never bridge the gaps
-/// between remainders; the plan only ever cuts and reassigns the ranges
-/// it was given, so the output tiles exactly the same identifiers as
-/// the input (exactly-once is preserved by construction).
-///
-/// Returns `None` when there is nothing to move: no work, no positive
-/// weight, or a plan identical to the current layout.
-pub fn rescatter_plan(remainders: &[Interval], weights: &[f64]) -> Option<Vec<Interval>> {
-    if remainders.len() != weights.len() || remainders.is_empty() {
-        return None;
-    }
-    let total: u128 = remainders.iter().map(|r| r.len).sum();
-    if total == 0 {
-        return None;
-    }
-    let active: Vec<usize> = (0..weights.len())
-        .filter(|&i| weights.get(i).copied().unwrap_or(0.0).is_finite() && weights[i] > 0.0)
-        .collect();
-    if active.is_empty() {
-        return None;
-    }
-    // A zero-weight slot takes no *new* work, but keeps what it holds:
-    // only the owner may drain its slot, so moving a passive slot's
-    // range is not this function's call. Redistribute only the work the
-    // active slots hold.
-    let mut plan = vec![Interval::new(0, 0); remainders.len()];
-    for i in 0..remainders.len() {
-        if !active.contains(&i) {
-            plan[i] = remainders[i];
-        }
-    }
-    let movable: u128 = active.iter().map(|&i| remainders[i].len).sum();
-    if movable == 0 {
-        return None;
-    }
-    // Target share per active slot: the weighted split of the movable
-    // count (using the same residue rules as the scatter step).
-    let shares = Interval::new(0, movable).split_weighted(
-        &active.iter().map(|&i| weights[i]).collect::<Vec<f64>>(),
-    );
-    // Largest targets first so the big shares get first pick of the big
-    // ranges (LPT); ties broken by slot index for determinism.
-    let mut order: Vec<(usize, u128)> =
-        active.iter().copied().zip(shares.iter().map(|s| s.len)).collect();
-    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    // The ranges to hand out: what the active slots currently hold.
-    let mut ranges: Vec<Interval> =
-        active.iter().map(|&i| remainders[i]).filter(|r| !r.is_empty()).collect();
-    let mut slots_left = order.len();
-    for (slot, target) in order {
-        // Invariant: ranges.len() <= slots_left (slots hold at most one
-        // range each, and a cut only splits a range when there is slack).
-        ranges.sort_by(|a, b| b.len.cmp(&a.len).then(a.start.cmp(&b.start)));
-        let range_count = ranges.len();
-        if let Some(biggest) = ranges.first_mut() {
-            let take = if range_count >= slots_left {
-                // No slack: every remaining slot must absorb a whole
-                // range or some range would be orphaned.
-                biggest.len
-            } else {
-                target.min(biggest.len)
-            };
-            plan[slot] = biggest.take_front(take);
-            if biggest.is_empty() {
-                ranges.remove(0);
-            }
-        }
-        slots_left -= 1;
-    }
-    debug_assert!(ranges.is_empty(), "every range must be assigned");
-    if plan == remainders {
-        return None;
-    }
-    Some(plan)
-}
-
 /// Per-worker scheduler accounting, gathered alongside the tested
 /// counts: how often this worker stole, how often it was stolen from,
 /// and where its wall-clock went. `idle_ns` is time spent looking for
@@ -376,11 +259,6 @@ impl WorkerStats {
 pub struct IntervalDeques {
     slots: Vec<Mutex<Interval>>,
     splits: Vec<AtomicU64>,
-    /// Owner has exited its run loop with the slot drained; a
-    /// re-scatter must never assign work here (no one would scan it).
-    /// Only flipped while holding the slot's own lock, so a rescatter
-    /// holding every lock reads a consistent value.
-    retired: Vec<AtomicBool>,
 }
 
 impl IntervalDeques {
@@ -389,8 +267,7 @@ impl IntervalDeques {
     pub fn assign(parts: Vec<Interval>) -> Self {
         assert!(!parts.is_empty(), "need at least one deque");
         let splits = parts.iter().map(|_| AtomicU64::new(0)).collect();
-        let retired = parts.iter().map(|_| AtomicBool::new(false)).collect();
-        Self { slots: parts.into_iter().map(Mutex::new).collect(), splits, retired }
+        Self { slots: parts.into_iter().map(Mutex::new).collect(), splits }
     }
 
     /// Scatter `interval` into one contiguous slot per weight,
@@ -451,41 +328,11 @@ impl IntervalDeques {
         Some(own.take_front(n))
     }
 
-    /// [`IntervalDeques::pop`] with a live rate estimate (keys per
-    /// second) for the [`ChunkPolicy::Timed`] sizing rule; other
-    /// policies ignore the rate.
-    pub fn pop_rated(&self, slot: usize, policy: ChunkPolicy, keys_per_sec: f64) -> Option<Interval> {
-        let mut own = self.slots[slot].lock().expect("deque slot");
-        if own.is_empty() {
-            return None;
-        }
-        let n = policy.next_len_rated(own.len, keys_per_sec);
-        Some(own.take_front(n))
-    }
-
     /// Keys left across every deque (taken one lock at a time — exact
     /// only when quiescent, but "zero" is stable: pops and steals only
     /// remove or move work, so once the total hits zero it stays there).
     pub fn total_remaining(&self) -> u128 {
         self.slots.iter().map(|s| s.lock().expect("deque slot").len).sum()
-    }
-
-    /// Mark `slot` retired if (and only if) it is empty: its owner is
-    /// exiting and no re-scatter may assign it work again. Returns false
-    /// when the slot holds work — a concurrent re-scatter refilled it —
-    /// in which case the owner must keep scanning instead of exiting.
-    pub fn retire_if_empty(&self, slot: usize) -> bool {
-        let own = self.slots[slot].lock().expect("deque slot");
-        if !own.is_empty() {
-            return false;
-        }
-        self.retired[slot].store(true, Ordering::Relaxed);
-        true
-    }
-
-    /// Whether `slot` has been retired by its owner.
-    pub fn is_retired(&self, slot: usize) -> bool {
-        self.retired[slot].load(Ordering::Relaxed)
     }
 
     /// Pick the remote slot with the most work left, skipping `thief`'s
@@ -539,37 +386,14 @@ impl IntervalDeques {
     /// `None` when every remote deque is empty — the queue is drained
     /// (up to chunks already being scanned) and the thief should exit.
     ///
-    /// Only valid in runs without re-scattering (benches, tests, the
-    /// model replay): with a live re-scatter the thief's slot may have
-    /// been refilled mid-steal, which [`IntervalDeques::try_steal`]
-    /// resolves by handing the stolen half back to the caller.
-    ///
+    /// Only the owner ever fills its own slot, and it steals only once
+    /// that slot is drained, so the install never overwrites work.
     /// Victim selection ([`Self::largest_remote`]) reads slot lengths
     /// without a consistent snapshot; see its docs for why that race is
     /// benign and how the model checker covers it.
     pub fn steal_into(&self, thief: usize) -> Option<usize> {
-        match self.try_steal(thief) {
-            StealOutcome::Stolen { victim } => Some(victim),
-            StealOutcome::Drained => None,
-            StealOutcome::Handoff { .. } => {
-                unreachable!("steal_into is only used in runs without re-scattering")
-            }
-        }
-    }
-
-    /// Steal-half with the re-scatter conflict resolved: when the
-    /// thief's own slot was refilled between its drained pop and the
-    /// install (a concurrent [`IntervalDeques::rescatter`] targeting the
-    /// then-empty slot), the stolen back half cannot be installed — a
-    /// slot holds one contiguous range — so it is handed back to the
-    /// caller to scan directly. Either way the range only *moved*
-    /// (victim → slot, or victim → in-flight chunk), so exactly-once
-    /// coverage is preserved.
-    pub fn try_steal(&self, thief: usize) -> StealOutcome {
         loop {
-            let Some(victim) = self.largest_remote(thief) else {
-                return StealOutcome::Drained;
-            };
+            let victim = self.largest_remote(thief)?;
             let stolen = {
                 let mut v = self.slots[victim].lock().expect("deque slot");
                 if v.is_empty() {
@@ -581,64 +405,11 @@ impl IntervalDeques {
             };
             self.splits[victim].fetch_add(1, Ordering::Relaxed);
             let mut own = self.slots[thief].lock().expect("deque slot");
-            if own.is_empty() {
-                *own = stolen;
-                return StealOutcome::Stolen { victim };
-            }
-            return StealOutcome::Handoff { victim, chunk: stolen };
+            assert!(own.is_empty(), "a thief steals only into its drained slot");
+            *own = stolen;
+            return Some(victim);
         }
     }
-
-    /// Rebalance the queued remainders to `weights` (live rates; zero
-    /// for slots that must not receive work). Takes every slot lock in
-    /// index order — safe against the rest of the protocol, which never
-    /// holds more than one slot lock at a time — computes the pure
-    /// [`rescatter_plan`], and installs it. Retired slots are forced to
-    /// weight zero regardless of the caller's value, so work is never
-    /// assigned to a slot whose owner already exited.
-    ///
-    /// In-flight chunks are untouched: like a steal, a re-scatter only
-    /// moves *queued* identifiers between slots, so the exactly-once
-    /// argument (ranges move, nothing is copied or re-inserted) is
-    /// unchanged. Returns true when the layout changed.
-    pub fn rescatter(&self, weights: &[f64]) -> bool {
-        assert_eq!(weights.len(), self.slots.len(), "one weight per slot");
-        let mut guards: Vec<std::sync::MutexGuard<'_, Interval>> =
-            self.slots.iter().map(|s| s.lock().expect("deque slot")).collect();
-        let remainders: Vec<Interval> = guards.iter().map(|g| **g).collect();
-        let masked: Vec<f64> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| if self.retired[i].load(Ordering::Relaxed) { 0.0 } else { w })
-            .collect();
-        let Some(plan) = rescatter_plan(&remainders, &masked) else {
-            return false;
-        };
-        for (guard, part) in guards.iter_mut().zip(plan) {
-            **guard = part;
-        }
-        true
-    }
-}
-
-/// What a [`IntervalDeques::try_steal`] attempt produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StealOutcome {
-    /// The back half of `victim`'s deque is now in the thief's slot.
-    Stolen {
-        /// The slot that was split.
-        victim: usize,
-    },
-    /// The thief's slot was refilled mid-steal (concurrent re-scatter);
-    /// the stolen half is handed back for the caller to scan directly.
-    Handoff {
-        /// The slot that was split.
-        victim: usize,
-        /// The back half that could not be installed.
-        chunk: Interval,
-    },
-    /// Every remote deque is empty; nothing left to steal.
-    Drained,
 }
 
 #[cfg(test)]
@@ -757,7 +528,6 @@ mod tests {
             ChunkPolicy::Fixed(64),
             ChunkPolicy::Guided { min: 0 },
             ChunkPolicy::Guided { min: 16 },
-            ChunkPolicy::Timed { target_ms: 50, min: 16 },
         ] {
             assert_eq!(policy.next_len(0), 0, "{policy:?}: an empty deque yields nothing");
             assert_eq!(policy.next_len(1), 1, "{policy:?}: a single key is poppable");
@@ -771,22 +541,6 @@ mod tests {
         // Fixed chunks larger than the remainder are clipped at sizing
         // time, so a pop can always be satisfied exactly.
         assert_eq!(ChunkPolicy::Fixed(64).next_len(36), 36);
-    }
-
-    #[test]
-    fn timed_policy_sizes_by_rate_and_falls_back_guided() {
-        let p = ChunkPolicy::Timed { target_ms: 100, min: 16 };
-        // 1e6 keys/s × 0.1 s = 100_000 keys.
-        assert_eq!(p.next_len_rated(1 << 40, 1e6), 100_000);
-        // Clamped to the floor and the remainder.
-        assert_eq!(p.next_len_rated(1 << 40, 10.0), 16, "slow rate hits the floor");
-        assert_eq!(p.next_len_rated(50, 1e9), 50, "never more than remaining");
-        assert_eq!(p.next_len_rated(0, 1e6), 0);
-        // No usable rate: the guided rule applies.
-        assert_eq!(p.next_len_rated(8000, 0.0), 1000);
-        assert_eq!(p.next_len_rated(8000, f64::NAN), 1000);
-        // Non-timed policies ignore the rate entirely.
-        assert_eq!(ChunkPolicy::Fixed(64).next_len_rated(1000, 1e9), 64);
     }
 
     #[test]
@@ -827,119 +581,5 @@ mod tests {
         assert_eq!(d.remaining(0), 3);
         assert_eq!(d.remaining(1), 3);
         assert_eq!(d.remaining(2), 3);
-    }
-
-    /// The plan must tile exactly the identifiers the remainders held.
-    fn assert_tiles(plan: &[Interval], remainders: &[Interval]) {
-        let mut got: Vec<Interval> = plan.iter().copied().filter(|p| !p.is_empty()).collect();
-        got.sort_by_key(|p| p.start);
-        let mut want: Vec<Interval> =
-            remainders.iter().copied().filter(|r| !r.is_empty()).collect();
-        want.sort_by_key(|r| r.start);
-        // Coalesce both sides (adjacent pieces may have been merged or cut).
-        let coalesce = |ivs: Vec<Interval>| {
-            let mut out: Vec<Interval> = Vec::new();
-            for iv in ivs {
-                match out.last_mut() {
-                    Some(last) if last.end() == iv.start => last.len += iv.len,
-                    _ => out.push(iv),
-                }
-            }
-            out
-        };
-        assert_eq!(coalesce(got), coalesce(want), "plan must tile the input exactly");
-    }
-
-    #[test]
-    fn rescatter_plan_rebalances_toward_the_weights() {
-        // Slow worker 0 holds everything; fast worker 1 (4x rate) is dry.
-        let remainders = [Interval::new(0, 1000), Interval::new(1000, 0)];
-        let plan = rescatter_plan(&remainders, &[1.0, 4.0]).expect("imbalance to fix");
-        assert_tiles(&plan, &remainders);
-        assert_eq!(plan[1].len, 800, "fast worker gets 4/5 of the work");
-        assert_eq!(plan[0].len, 200);
-    }
-
-    #[test]
-    fn rescatter_plan_is_a_noop_when_already_proportional() {
-        let remainders = [Interval::new(0, 800), Interval::new(800, 200)];
-        assert_eq!(rescatter_plan(&remainders, &[4.0, 1.0]), None);
-        assert_eq!(rescatter_plan(&[Interval::new(0, 0)], &[1.0]), None, "no work");
-        assert_eq!(rescatter_plan(&[Interval::new(0, 9)], &[0.0]), None, "no active slot");
-    }
-
-    #[test]
-    fn rescatter_plan_leaves_passive_slots_their_work() {
-        // Slot 1 has weight zero but still holds a range: only the
-        // active slots' work is redistributed.
-        let remainders =
-            [Interval::new(0, 600), Interval::new(600, 100), Interval::new(700, 0)];
-        let plan = rescatter_plan(&remainders, &[1.0, 0.0, 2.0]).expect("rebalance");
-        assert_tiles(&plan, &remainders);
-        assert_eq!(plan[1], Interval::new(600, 100), "passive slot keeps its range");
-        assert_eq!(plan[0].len + plan[2].len, 600, "active work redistributed");
-        assert_eq!(plan[2].len, 400, "2/3 of the movable work");
-    }
-
-    #[test]
-    fn rescatter_plan_handles_more_ranges_than_weight_suggests() {
-        // Target concentrated on the (empty) slot 3, but a slot holds at
-        // most one contiguous range: the plan must still absorb every
-        // loaded range somewhere instead of orphaning the ones the
-        // weighted shares rounded down to zero.
-        let remainders = [
-            Interval::new(0, 10),
-            Interval::new(50, 10),
-            Interval::new(90, 10),
-            Interval::new(200, 0),
-        ];
-        let plan = rescatter_plan(&remainders, &[1.0, 1.0, 1.0, 100.0]).expect("rebalance");
-        assert_tiles(&plan, &remainders);
-        let total: u128 = plan.iter().map(|p| p.len).sum();
-        assert_eq!(total, 30, "no range orphaned: {plan:?}");
-        assert!(!plan[3].is_empty(), "the heavy slot was fed");
-
-        // The degenerate cousin: equal loaded slots with nowhere to move
-        // work is a no-op, not a reshuffle.
-        let stuck = [Interval::new(0, 10), Interval::new(50, 10), Interval::new(90, 10)];
-        assert_eq!(rescatter_plan(&stuck, &[100.0, 1.0, 1.0]), None);
-    }
-
-    #[test]
-    fn live_rescatter_respects_retired_slots() {
-        let d = IntervalDeques::assign(vec![
-            Interval::new(0, 1000),
-            Interval::new(1000, 0),
-            Interval::new(1000, 0),
-        ]);
-        assert!(d.retire_if_empty(2), "empty slot retires");
-        assert!(!d.retire_if_empty(0), "loaded slot refuses to retire");
-        assert!(d.rescatter(&[1.0, 1.0, 1.0]), "rebalance happened");
-        assert_eq!(d.remaining(2), 0, "retired slot got nothing");
-        assert_eq!(d.remaining(0) + d.remaining(1), 1000, "work conserved");
-        assert!(d.remaining(1) > 0, "live empty slot was fed");
-        assert_eq!(d.total_remaining(), 1000);
-    }
-
-    #[test]
-    fn try_steal_hands_off_when_own_slot_was_refilled() {
-        let d = IntervalDeques::assign(vec![Interval::new(0, 100), Interval::new(100, 0)]);
-        // Simulate the conflict: a re-scatter refills slot 1 after its
-        // owner decided to steal (we refill before the steal here — the
-        // lock-order outcome is identical).
-        assert!(d.rescatter(&[1.0, 1.0]));
-        assert!(d.remaining(1) > 0, "slot 1 refilled");
-        match d.try_steal(1) {
-            StealOutcome::Handoff { victim, chunk } => {
-                assert_eq!(victim, 0);
-                assert!(!chunk.is_empty());
-                assert_eq!(
-                    chunk.len + d.remaining(0) + d.remaining(1),
-                    100,
-                    "handoff moved, never duplicated"
-                );
-            }
-            other => panic!("expected handoff, got {other:?}"),
-        }
     }
 }

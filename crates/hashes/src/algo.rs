@@ -18,8 +18,8 @@ pub enum HashAlgo {
     /// MD5-hashed, then re-hashed `1 + (sum(key bytes) mod iters)` more
     /// times. Variable per-key cost is exactly the shape (salted/
     /// iterated KDFs, RAR-style recovery) that breaks the one-shot §VI
-    /// tuning assumption, so this is the workload the closed-loop
-    /// retune controller is benchmarked against.
+    /// tuning assumption, so this is the workload the skewed-fleet
+    /// load-balancing benches run.
     Md5Iter {
         /// Upper bound on the extra compression count (clamped ≥ 1).
         iters: u16,

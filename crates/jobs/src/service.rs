@@ -18,12 +18,7 @@
 //! the per-job carve-out always reconciles exactly against the shared
 //! worker counters.
 
-use std::sync::Mutex;
-
-use eks_engine::{
-    Backend, DequeLeaf, Dispatcher, IntervalDeques, RateEstimator, Retune, SchedOptions,
-    SchedPolicy, WorkerStats,
-};
+use eks_engine::{Backend, DequeLeaf, Dispatcher, IntervalDeques, SchedOptions, SchedPolicy};
 use eks_keyspace::Interval;
 use eks_telemetry::{names, Telemetry};
 
@@ -110,18 +105,11 @@ pub struct ServiceConfig {
     pub sched: SchedPolicy,
     /// Chunk size for the policy (fixed size or guided floor).
     pub chunk: u128,
-    /// Closed-loop adaptation: scatter every lease by the fleet's live
-    /// (warm-up-gated) rate estimates instead of the frozen tuned
-    /// weights, enable chunk-level re-scatter inside each lease, and
-    /// scale the round budget by the fleet's live-to-tuned throughput
-    /// ratio. Off, scheduling is byte-identical to the static
-    /// accounting.
-    pub retune: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { round_keys: 1 << 16, sched: SchedPolicy::Steal, chunk: 4096, retune: false }
+        Self { round_keys: 1 << 16, sched: SchedPolicy::Steal, chunk: 4096 }
     }
 }
 
@@ -148,18 +136,12 @@ pub struct JobService {
     store: JobStore,
     config: ServiceConfig,
     telemetry: Telemetry,
-    /// The live rate ledger: one estimator per fleet slot, positionally
-    /// aligned with the member list and keyed by label so membership
-    /// churn restarts the affected slot cold on its tuned weight.
-    /// Persists across rounds (it outlives each lease's dispatcher);
-    /// only consulted when [`ServiceConfig::retune`] is on.
-    rates: Mutex<Vec<(String, RateEstimator)>>,
 }
 
 impl JobService {
     /// A service over an open store.
     pub fn new(store: JobStore, config: ServiceConfig) -> Self {
-        Self { store, config, telemetry: Telemetry::disabled(), rates: Mutex::new(Vec::new()) }
+        Self { store, config, telemetry: Telemetry::disabled() }
     }
 
     /// Attach telemetry (per-job counters + lease events).
@@ -192,7 +174,7 @@ impl JobService {
             return Ok(report);
         }
         let shares = carve_budget(
-            self.round_budget(fleet),
+            self.config.round_keys,
             &jobs.iter().map(|j| (j.spec.priority, j.remaining())).collect::<Vec<_>>(),
         );
         for (job, share) in jobs.iter_mut().zip(shares) {
@@ -250,25 +232,13 @@ impl JobService {
                     backend: m.backend.as_ref(),
                 })
                 .collect();
-            // Each lease scatters by the freshest available weights:
-            // the live ledger under retune, the frozen tuned rates
-            // otherwise. Retune also turns on the engine's chunk-level
-            // drift check inside the lease.
-            let weights = if self.config.retune {
-                self.lease_weights(fleet)
-            } else {
-                fleet.weights()
-            };
-            let mut opts = SchedOptions::for_policy(self.config.sched, self.config.chunk);
-            if self.config.retune {
-                opts = opts.with_retune(Retune::default());
-            }
-            let deques = IntervalDeques::scatter(lease, &weights);
-            dispatcher.run_deques(&leaves, &deques, opts);
+            let deques = IntervalDeques::scatter(lease, &fleet.weights());
+            dispatcher.run_deques(
+                &leaves,
+                &deques,
+                SchedOptions::for_policy(self.config.sched, self.config.chunk),
+            );
             let out = dispatcher.finish();
-            if self.config.retune {
-                self.observe_lease(&out.stats);
-            }
 
             let new_hits = out.hits.len() as u64;
             for (id, key, _target) in &out.hits {
@@ -324,66 +294,5 @@ impl JobService {
             }
         }
         Ok(())
-    }
-
-    /// The round's key budget. Under retune the configured budget is
-    /// scaled by the fleet's live-to-tuned throughput ratio (clamped to
-    /// `[1/4, 4]`): a fleet really running faster than its tuning
-    /// figures leases proportionally more keys per round, so the
-    /// checkpoint cadence stays roughly constant in wall time rather
-    /// than in keys; a fleet bogged down by an expensive KDF checkpoints
-    /// more often, bounding the rescan a crash can cost.
-    fn round_budget(&self, fleet: &Fleet) -> u128 {
-        if !self.config.retune {
-            return self.config.round_keys;
-        }
-        let tuned: f64 = fleet.weights().iter().sum();
-        let live: f64 = self.lease_weights(fleet).iter().sum();
-        if tuned <= 0.0 || !live.is_finite() || live <= 0.0 {
-            return self.config.round_keys;
-        }
-        let ratio = (live / tuned).clamp(0.25, 4.0);
-        ((self.config.round_keys as f64 * ratio) as u128).max(1)
-    }
-
-    /// The per-lease scatter weights under retune: each slot's
-    /// warm-up-gated live estimate. Slots whose label changed since the
-    /// last lease (membership churn) restart cold on the member's tuned
-    /// weight — a re-joined label is a new executor, whatever the old
-    /// one measured.
-    fn lease_weights(&self, fleet: &Fleet) -> Vec<f64> {
-        let mut book = self.rates.lock().expect("rate ledger");
-        book.truncate(fleet.members.len());
-        for (slot, m) in fleet.members.iter().enumerate() {
-            let fresh = book.get(slot).is_some_and(|(label, _)| *label == m.label);
-            if !fresh {
-                let entry = (m.label.clone(), RateEstimator::new(m.weight));
-                if let Some(cell) = book.get_mut(slot) {
-                    *cell = entry;
-                } else {
-                    book.push(entry);
-                }
-            }
-        }
-        book.iter().map(|(_, est)| est.mkeys()).collect()
-    }
-
-    /// Feed one finished lease's per-worker stats into the ledger. Each
-    /// lease runs a fresh dispatcher, so the stats *are* the lease's
-    /// deltas — no baseline diffing needed.
-    fn observe_lease(&self, stats: &[WorkerStats]) {
-        let mut book = self.rates.lock().expect("rate ledger");
-        for (slot, st) in stats.iter().enumerate() {
-            if let Some((label, est)) = book.get_mut(slot) {
-                est.observe(st.tested, st.busy_ns);
-                if self.telemetry.is_enabled() {
-                    let labels = [("worker", label.as_str())];
-                    self.telemetry.gauge(names::WORKER_RATE_EST, &labels).set(est.mkeys());
-                    self.telemetry
-                        .gauge(names::WORKER_RATE_TUNED, &labels)
-                        .set(est.tuned_mkeys());
-                }
-            }
-        }
     }
 }

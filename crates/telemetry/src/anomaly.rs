@@ -8,11 +8,12 @@
 //! that doesn't. The [`AnomalyDetector`] reads each flushed
 //! [`Window`] and classifies:
 //!
-//! - **straggler** — a worker's live EWMA rate
-//!   (`eks_worker_rate_est_mkeys`) has dropped more than
-//!   [`AnomalyConfig::straggler_drift_pct`] below its tuned baseline.
-//!   This is the §III scatter premise (`N_j = N_max · X_j / X_max`)
-//!   failing live: the tuned `X_j` no longer describes the device.
+//! - **straggler** — a worker's live rate, its `eks_keys_tested_total`
+//!   delta over the window's width ([`crate::rate_mkeys`]), has dropped
+//!   more than [`AnomalyConfig::straggler_drift_pct`] below its tuned
+//!   baseline (`eks_worker_rate_tuned_mkeys`). This is the §III scatter
+//!   premise (`N_j = N_max · X_j / X_max`) failing live: the tuned
+//!   `X_j` no longer describes the device.
 //! - **stall** — a worker that tested keys in an earlier window tested
 //!   zero in this one while the rest of the fleet progressed.
 //! - **rate-collapse** — the whole fleet's window throughput fell below
@@ -21,11 +22,12 @@
 //!   [`AnomalyConfig::p99_shift_factor`]×.
 //!
 //! Verdicts surface three ways: the `eks_anomaly_total{kind}` counter,
-//! an `anomaly` trace event, and a flagged-worker set the engine's
-//! rescatter plan consults to deprioritize the worker until it
-//! recovers (a flag clears as soon as a window no longer exhibits the
-//! condition). The [`LivePlane`] bundles the window ring and the
-//! detector behind one handle that instrumented layers poke through
+//! an `anomaly` trace event, and a flagged-worker set (mirrored into
+//! the `eks_worker_flagged` gauge) that clears as soon as a window no
+//! longer exhibits the condition. Detection only reports: rebalancing
+//! away from a slow worker is work stealing's job. The [`LivePlane`]
+//! bundles the window ring and the detector behind one handle that
+//! instrumented layers poke through
 //! [`Telemetry::observe_plane`](crate::Telemetry::observe_plane).
 
 use std::collections::HashSet;
@@ -93,7 +95,7 @@ pub struct Anomaly {
 /// straggler line sits (see DESIGN §4k).
 #[derive(Debug, Clone, Copy)]
 pub struct AnomalyConfig {
-    /// Straggler when `est < tuned · (1 - straggler_drift_pct/100)`.
+    /// Straggler when `live < tuned · (1 - straggler_drift_pct/100)`.
     pub straggler_drift_pct: f64,
     /// Rate collapse when this window's fleet throughput is below this
     /// percentage of the previous window's.
@@ -177,29 +179,29 @@ impl AnomalyDetector {
             }
         }
 
-        // Straggler: the live EWMA gauge against its tuned baseline.
-        for s in window.samples.iter().filter(|s| s.name == names::WORKER_RATE_EST) {
-            let (Some(worker), SampleValue::Gauge(est)) = (s.label("worker"), &s.value) else {
-                continue;
-            };
+        // Straggler: the window's keys-tested rate against the tuned
+        // baseline. Idle workers are the stall rule's business.
+        let width_ns = window.end_ns.saturating_sub(window.start_ns) as f64;
+        for (worker, delta) in worker_deltas.iter().filter(|(_, d)| *d > 0) {
             let Some(tuned) = window.gauge(names::WORKER_RATE_TUNED, "worker", worker) else {
                 continue;
             };
-            if tuned <= 0.0 || !est.is_finite() {
+            if tuned <= 0.0 || width_ns <= 0.0 {
                 continue;
             }
+            let live = crate::rate_mkeys(*delta as f64, width_ns);
             let floor = tuned * (1.0 - self.config.straggler_drift_pct / 100.0);
-            if *est < floor {
+            if live < floor {
                 out.push(Anomaly {
                     kind: AnomalyKind::Straggler,
-                    worker: worker.to_string(),
+                    worker: worker.clone(),
                     window: window.index,
                     detail: format!(
-                        "live {est:.2} MK/s under tuned {tuned:.2} MK/s (-{:.0}%)",
-                        (1.0 - est / tuned) * 100.0
+                        "live {live:.2} MK/s under tuned {tuned:.2} MK/s (-{:.0}%)",
+                        (1.0 - live / tuned) * 100.0
                     ),
                 });
-                next_flagged.insert(worker.to_string());
+                next_flagged.insert(worker.clone());
             }
         }
 
@@ -267,8 +269,8 @@ const RECENT_ANOMALIES: usize = 256;
 pub struct LivePlane {
     windows: WindowBook,
     detector: Mutex<AnomalyDetector>,
-    /// Flagged-worker set mirrored out of the detector so the engine's
-    /// rescatter path reads it without contending the assess lock.
+    /// Flagged-worker set mirrored out of the detector so readers do
+    /// not contend the assess lock.
     flagged: Mutex<HashSet<String>>,
     /// Recent verdicts, oldest first, bounded for the flight dump.
     recent: Mutex<Vec<Anomaly>>,
@@ -360,8 +362,7 @@ impl LivePlane {
         anomalies
     }
 
-    /// `true` while `worker` is flagged (the engine's rescatter plan
-    /// halves a flagged worker's scatter weight).
+    /// `true` while `worker` is flagged.
     pub fn is_flagged(&self, worker: &str) -> bool {
         self.flagged.lock().expect("flagged set").contains(worker)
     }
@@ -397,9 +398,9 @@ mod tests {
     #[test]
     fn straggler_flags_and_recovers_with_the_gauges() {
         let (clock, t, plane) = plane_fixture();
+        // 10 keys in a 100 ns window: 100 MK/s against a tuned 400.
         t.counter(names::KEYS_TESTED, &[("worker", "slow")]).add(10);
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "slow")]).set(1.0);
-        t.gauge(names::WORKER_RATE_TUNED, &[("worker", "slow")]).set(4.0);
+        t.gauge(names::WORKER_RATE_TUNED, &[("worker", "slow")]).set(400.0);
         clock.advance(100);
         let anomalies = plane.observe_now(&t);
         assert_eq!(anomalies.len(), 1);
@@ -417,8 +418,7 @@ mod tests {
                 && s.value == 1.0));
         assert!(t.trace_snapshot().iter().any(|r| r.name == names::EVENT_ANOMALY));
         // Recovery: the live rate comes back, the flag clears.
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "slow")]).set(3.9);
-        t.counter(names::KEYS_TESTED, &[("worker", "slow")]).add(10);
+        t.counter(names::KEYS_TESTED, &[("worker", "slow")]).add(39);
         clock.advance(100);
         assert!(plane.observe_now(&t).is_empty());
         assert!(!plane.is_flagged("slow"));

@@ -353,9 +353,9 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let t = Telemetry::with_clock(clock.clone());
         let plane = Arc::new(LivePlane::new(100, 8, AnomalyConfig::default()));
+        // 250 keys in a 100 ns window: 2500 MK/s against a tuned 10000.
         t.counter(names::KEYS_TESTED, &[("worker", "slow#1")]).add(250);
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "slow#1")]).set(1.0);
-        t.gauge(names::WORKER_RATE_TUNED, &[("worker", "slow#1")]).set(4.0);
+        t.gauge(names::WORKER_RATE_TUNED, &[("worker", "slow#1")]).set(10_000.0);
         clock.advance(100);
         plane.observe_now(&t);
         t.span(names::SPAN_SCAN).worker(1).device("cpu").field("tested", 250u64).finish();

@@ -49,7 +49,7 @@ pub use http::{http_get, JobsFn, MetricsServer};
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, Registry, SampleValue};
 pub use parse::{parse_json, parse_prometheus, parse_trace_jsonl, Json, PromSample};
 pub use trace::{TraceKind, TraceRecord, TraceSink};
-pub use window::{Window, WindowBook};
+pub use window::{rate_mkeys, Window, WindowBook};
 
 use std::sync::{Arc, OnceLock};
 
@@ -114,16 +114,13 @@ pub mod names {
     /// Gauge `{job}`: keys still pending for one job (drives the
     /// per-job ETA in `eks report`).
     pub const JOB_REMAINING_KEYS: &str = "eks_job_remaining_keys";
-    /// Gauge `{worker}`: live EWMA throughput estimate in MKeys/s from
-    /// the closed-loop retune controller (falls back to the tuned rate
-    /// while the estimator warms up).
-    pub const WORKER_RATE_EST: &str = "eks_worker_rate_est_mkeys";
-    /// Gauge `{worker}`: the tuned-rate baseline the live estimate is
-    /// compared against (the rate-drift column in `eks report` is
-    /// `(est - tuned) / tuned`).
+    /// Gauge `{worker}`: the worker's tuned rate in MKeys/s (the sum
+    /// over its dispatcher leaves), set once per `run_deques` when
+    /// telemetry is enabled. The straggler rule, the rate column of
+    /// `eks report` and `eks top` compare it against the worker's
+    /// [`KEYS_TESTED`] delta over a time window
+    /// ([`crate::rate_mkeys`]).
     pub const WORKER_RATE_TUNED: &str = "eks_worker_rate_tuned_mkeys";
-    /// Counter: live re-scatters performed by the retune controller.
-    pub const RESCATTERS: &str = "eks_rescatter_total";
     /// Gauge `{device}`: simulated-GPU profiler IPC.
     pub const SIM_IPC: &str = "eks_sim_ipc";
     /// Gauge `{device}`: simulated-GPU profiler efficiency (0..1).
@@ -159,7 +156,7 @@ pub mod names {
     /// `rate-collapse`) from the sliding-window detector.
     pub const ANOMALIES: &str = "eks_anomaly_total";
     /// Gauge `{worker}`: 1 while the anomaly detector flags the worker
-    /// (the rescatter plan deprioritizes it), 0 once it recovers.
+    /// as a straggler or stalled, 0 once it recovers.
     pub const WORKER_FLAGGED: &str = "eks_worker_flagged";
     /// Event: the anomaly detector classified a window.
     pub const EVENT_ANOMALY: &str = "anomaly";

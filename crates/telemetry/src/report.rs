@@ -53,28 +53,28 @@ impl WorkerRow {
     }
 }
 
-/// One worker's row of the rate-drift table: the final live (EWMA)
-/// rate estimate a retuned run recorded next to the frozen tuned rate
-/// it started from.
+/// One worker's row of the rate-drift table: the rate the worker
+/// achieved over the run ([`crate::rate_mkeys`] of its keys tested
+/// over the run's width) next to the tuned rate it was scattered by.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateRow {
     /// The `worker` label value.
     pub worker: String,
-    /// Live estimated rate at the end of the run, MKeys/s.
-    pub est_mkeys: f64,
+    /// Achieved rate over the run, MKeys/s.
+    pub live_mkeys: f64,
     /// Tuned (one-shot calibration) rate, MKeys/s.
     pub tuned_mkeys: f64,
 }
 
 impl RateRow {
-    /// How far the live estimate drifted from the tuned baseline, in
+    /// How far the achieved rate drifted from the tuned baseline, in
     /// signed percent (`+` means the worker ran faster than tuned).
     /// 0 when no tuned baseline was recorded — never NaN.
     pub fn drift_pct(&self) -> f64 {
         if self.tuned_mkeys <= 0.0 {
             0.0
         } else {
-            100.0 * (self.est_mkeys - self.tuned_mkeys) / self.tuned_mkeys
+            100.0 * (self.live_mkeys - self.tuned_mkeys) / self.tuned_mkeys
         }
     }
 }
@@ -143,11 +143,9 @@ pub struct ReportData {
     pub workers: Vec<WorkerRow>,
     /// Per-job rows, sorted by job label (empty for single-tenant runs).
     pub jobs: Vec<JobRow>,
-    /// Per-worker live-vs-tuned rate rows, sorted by worker label
-    /// (empty unless the run retuned).
+    /// Per-worker achieved-vs-tuned rate rows, sorted by worker label
+    /// (empty unless the run recorded tuned-rate gauges).
     pub rates: Vec<RateRow>,
-    /// Re-scatters the closed-loop controller performed.
-    pub rescatters: f64,
     /// Total ns inside `run` spans (wall time the job rates prorate).
     pub run_span_ns: u64,
     /// `(device, tuned MKeys/s)` rows, sorted by device.
@@ -309,25 +307,6 @@ pub fn analyze(samples: &[PromSample], trace: &[TraceRecord]) -> ReportData {
         });
     }
 
-    let mut rated: Vec<String> = samples
-        .iter()
-        .filter(|s| s.name == names::WORKER_RATE_EST)
-        .filter_map(|s| s.label("worker").map(str::to_string))
-        .collect();
-    rated.sort();
-    rated.dedup();
-    for worker in rated {
-        let pick = |name: &str| {
-            metric_for_worker(samples, name, &worker).map(|s| s.value).next().unwrap_or(0.0)
-        };
-        data.rates.push(RateRow {
-            est_mkeys: pick(names::WORKER_RATE_EST),
-            tuned_mkeys: pick(names::WORKER_RATE_TUNED),
-            worker,
-        });
-    }
-    data.rescatters = sum_by_name(samples, names::RESCATTERS);
-
     data.device_rates = samples
         .iter()
         .filter(|s| s.name == names::DEVICE_RATE_MKEYS)
@@ -383,6 +362,31 @@ pub fn analyze(samples: &[PromSample], trace: &[TraceRecord]) -> ReportData {
             }
             _ => {}
         }
+    }
+
+    // The run is the report's one window: a worker's live rate is its
+    // keys tested over the run span, or over its own accounted time
+    // when the trace recorded no run span.
+    let mut rated: Vec<(String, f64)> = samples
+        .iter()
+        .filter(|s| s.name == names::WORKER_RATE_TUNED)
+        .filter_map(|s| s.label("worker").map(|w| (w.to_string(), s.value)))
+        .collect();
+    rated.sort_by(|a, b| a.0.cmp(&b.0));
+    rated.dedup_by(|a, b| a.0 == b.0);
+    for (worker, tuned_mkeys) in rated {
+        let row = data.workers.iter().find(|w| w.worker == worker);
+        let width_ns = if data.run_span_ns > 0 {
+            data.run_span_ns as f64
+        } else {
+            row.map_or(0.0, |w| w.busy_ns + w.idle_ns)
+        };
+        let tested = row.map_or(0.0, |w| w.tested);
+        data.rates.push(RateRow {
+            live_mkeys: crate::rate_mkeys(tested, width_ns),
+            tuned_mkeys,
+            worker,
+        });
     }
     data
 }
@@ -461,22 +465,21 @@ pub fn render_report(samples: &[PromSample], trace: &[TraceRecord]) -> String {
     }
 
     if !data.rates.is_empty() {
-        writeln!(out, "\nrate drift (live estimate vs tuned)").expect("write");
+        writeln!(out, "\nrate drift (achieved vs tuned)").expect("write");
         writeln!(
             out,
             "{:<24} {:>14} {:>14} {:>9}",
-            "worker", "est MKeys/s", "tuned MKeys/s", "drift%"
+            "worker", "live MKeys/s", "tuned MKeys/s", "drift%"
         )
         .expect("write");
         for row in &data.rates {
             writeln!(
                 out,
                 "{:<24} {:>14.2} {:>14.2} {:>+9.1}",
-                row.worker, row.est_mkeys, row.tuned_mkeys, row.drift_pct()
+                row.worker, row.live_mkeys, row.tuned_mkeys, row.drift_pct()
             )
             .expect("write");
         }
-        writeln!(out, "re-scatters: {:.0}", data.rescatters).expect("write");
     }
 
     if !data.device_rates.is_empty() {
@@ -673,12 +676,15 @@ mod tests {
     #[test]
     fn rate_drift_rows_render_with_signed_percentages() {
         let t = Telemetry::enabled();
-        t.counter(names::KEYS_TESTED, &[("worker", "cpu#0")]).add(100);
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "cpu#0")]).set(30.0);
+        // 30k keys over 1 ms of accounted time: 30 MK/s against 40.
+        t.counter(names::KEYS_TESTED, &[("worker", "cpu#0")]).add(30_000);
+        t.counter(names::BUSY_NS, &[("worker", "cpu#0")]).add(800_000);
+        t.counter(names::IDLE_NS, &[("worker", "cpu#0")]).add(200_000);
         t.gauge(names::WORKER_RATE_TUNED, &[("worker", "cpu#0")]).set(40.0);
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "gpu#0")]).set(220.0);
+        // 220k keys over 1 ms: 220 MK/s against 200.
+        t.counter(names::KEYS_TESTED, &[("worker", "gpu#0")]).add(220_000);
+        t.counter(names::BUSY_NS, &[("worker", "gpu#0")]).add(1_000_000);
         t.gauge(names::WORKER_RATE_TUNED, &[("worker", "gpu#0")]).set(200.0);
-        t.counter(names::RESCATTERS, &[]).add(3);
         let samples = parse_prometheus(&t.render_prometheus()).unwrap();
         let data = analyze(&samples, &[]);
         assert_eq!(data.rates.len(), 2);
@@ -687,40 +693,14 @@ mod tests {
         assert!((cpu.drift_pct() + 25.0).abs() < 1e-9, "{}", cpu.drift_pct());
         let gpu = &data.rates[1];
         assert!((gpu.drift_pct() - 10.0).abs() < 1e-9, "{}", gpu.drift_pct());
-        assert_eq!(data.rescatters, 3.0);
         let report = render_report(&samples, &[]);
-        assert!(report.contains("rate drift (live estimate vs tuned)"), "{report}");
+        assert!(report.contains("rate drift (achieved vs tuned)"), "{report}");
         assert!(report.contains("-25.0"), "{report}");
         assert!(report.contains("+10.0"), "{report}");
-        assert!(report.contains("re-scatters: 3"), "{report}");
         assert!(!report.contains("NaN"), "{report}");
         // A zero tuned baseline degrades to 0% drift, never NaN.
-        let zero = RateRow { worker: "w".into(), est_mkeys: 5.0, tuned_mkeys: 0.0 };
+        let zero = RateRow { worker: "w".into(), live_mkeys: 5.0, tuned_mkeys: 0.0 };
         assert_eq!(zero.drift_pct(), 0.0);
-    }
-
-    #[test]
-    fn retune_gauges_render_a_stable_prometheus_exposition() {
-        // Golden test: the exact exposition text the retune gauges
-        // produce, so the on-disk artifact schema can't drift silently.
-        let t = Telemetry::enabled();
-        t.gauge(names::WORKER_RATE_EST, &[("worker", "cpu#0")]).set(32.5);
-        t.gauge(names::WORKER_RATE_TUNED, &[("worker", "cpu#0")]).set(40.0);
-        t.counter(names::RESCATTERS, &[]).add(2);
-        let text = t.render_prometheus();
-        for line in [
-            "# TYPE eks_rescatter_total counter",
-            "eks_rescatter_total 2",
-            "# TYPE eks_worker_rate_est_mkeys gauge",
-            "eks_worker_rate_est_mkeys{worker=\"cpu#0\"} 32.5",
-            "# TYPE eks_worker_rate_tuned_mkeys gauge",
-            "eks_worker_rate_tuned_mkeys{worker=\"cpu#0\"} 40",
-        ] {
-            assert!(text.contains(line), "missing {line:?} in:\n{text}");
-        }
-        // And the exposition round-trips through the parser.
-        let samples = parse_prometheus(&text).unwrap();
-        assert!(samples.iter().any(|s| s.name == names::WORKER_RATE_EST && s.value == 32.5));
     }
 
     #[test]

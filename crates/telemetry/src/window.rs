@@ -23,6 +23,20 @@ use std::sync::Mutex;
 use crate::metrics::{Labels, MetricSample, SampleValue};
 use crate::Telemetry;
 
+/// Throughput in MKeys/s of `keys` tested over `width_ns` nanoseconds;
+/// 0 for an empty width — never NaN or infinite. The one definition of
+/// a worker's live rate: the straggler rule divides a window's
+/// keys-tested delta by the window width, `eks top` the delta between
+/// two scrapes by their spacing, `eks report` a worker's total by the
+/// run's width.
+pub fn rate_mkeys(keys: f64, width_ns: f64) -> f64 {
+    if width_ns > 0.0 {
+        keys * 1e3 / width_ns
+    } else {
+        0.0
+    }
+}
+
 /// One flushed window: the registry's activity in `[start_ns, end_ns)`.
 #[derive(Debug, Clone)]
 pub struct Window {
@@ -281,7 +295,7 @@ mod tests {
         let t = Telemetry::with_clock(clock.clone());
         let book = WindowBook::new(10, 4);
         let h = t.histogram(names::SCAN_NS, &[("worker", "w0")]);
-        let g = t.gauge(names::WORKER_RATE_EST, &[("worker", "w0")]);
+        let g = t.gauge(names::WORKER_RATE_TUNED, &[("worker", "w0")]);
         h.observe(5);
         g.set(3.5);
         clock.advance(10);
@@ -293,6 +307,6 @@ mod tests {
         let (buckets, count) = w.histogram_buckets(names::SCAN_NS).expect("histogram present");
         assert_eq!(count, 1, "only the second observation is in this window");
         assert_eq!(buckets.iter().sum::<u64>(), 1);
-        assert_eq!(w.gauge(names::WORKER_RATE_EST, "worker", "w0"), Some(1.25));
+        assert_eq!(w.gauge(names::WORKER_RATE_TUNED, "worker", "w0"), Some(1.25));
     }
 }

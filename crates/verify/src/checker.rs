@@ -331,36 +331,7 @@ pub fn standard_checks(workers: usize, intervals: u128) -> Vec<NamedCheck> {
                 ..ModelConfig::exhaustive(workers, keys)
             },
         },
-        NamedCheck {
-            name: "scheduler/rescatter-steal",
-            claim: "live-rate re-scatter at arbitrary points preserves all four properties under steal-half",
-            config: ModelConfig::exhaustive(workers, keys)
-                .with_rescatter(rescatter_weights(workers)),
-        },
-        NamedCheck {
-            name: "scheduler/rescatter-static",
-            claim: "re-scatter alone (no steals, drained workers waiting) still covers the keyspace exactly once",
-            config: ModelConfig { steal: false, ..ModelConfig::exhaustive(workers, keys) }
-                .with_rescatter(rescatter_weights(workers)),
-        },
-        NamedCheck {
-            name: "scheduler/rescatter-first-hit",
-            claim: "the lowest-id merge rule survives re-scatters racing the stop flag",
-            config: ModelConfig::first_hit(workers, keys)
-                .with_rescatter(rescatter_weights(workers)),
-        },
     ]
-}
-
-/// The canonical live-weight vectors the re-scatter checks explore: a
-/// first-worker-heavy skew and its mirror — enough to move work both
-/// directions at any reachable remainder shape.
-fn rescatter_weights(workers: usize) -> Vec<Vec<f64>> {
-    let mut head_heavy = vec![1.0; workers];
-    *head_heavy.first_mut().expect("workers >= 1") = 3.0;
-    let mut tail_heavy = vec![1.0; workers];
-    *tail_heavy.last_mut().expect("workers >= 1") = 3.0;
-    vec![head_heavy, tail_heavy]
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use eks_engine::{rescatter_plan, steal_split, ChunkPolicy};
+use eks_engine::{steal_split, ChunkPolicy};
 use eks_keyspace::Interval;
 
 /// A deliberately broken transition relation, for negative-path tests.
@@ -71,13 +71,6 @@ pub struct ModelConfig {
     /// Keys per poll quantum: the model's `poll_quantum`, scaled down so
     /// bounded exploration stays tractable.
     pub quantum: u128,
-    /// Canonical live-weight vectors the retune controller may re-scatter
-    /// with ([`Action::Rescatter`] indexes into this list). Empty
-    /// disables the transition; each vector must have one weight per
-    /// worker. The checker explores a re-scatter at *every* point where
-    /// the live controller could fire one, so "arbitrary re-scatter
-    /// timing" is inside the verified state space.
-    pub rescatter: Vec<Vec<f64>>,
     /// Seeded protocol bug, if any.
     pub mutation: Option<Mutation>,
 }
@@ -94,7 +87,6 @@ impl ModelConfig {
             first_hit: false,
             hits,
             quantum: 1,
-            rescatter: Vec::new(),
             mutation: None,
         }
     }
@@ -130,7 +122,6 @@ impl ModelConfig {
             first_hit: true,
             hits: vec![0],
             quantum: 1,
-            rescatter: Vec::new(),
             mutation: None,
         }
     }
@@ -138,13 +129,6 @@ impl ModelConfig {
     /// Attach a seeded bug.
     pub fn with_mutation(mut self, mutation: Mutation) -> Self {
         self.mutation = Some(mutation);
-        self
-    }
-
-    /// Enable the re-scatter transition with these canonical live-weight
-    /// vectors (one weight per worker in each).
-    pub fn with_rescatter(mut self, weights: Vec<Vec<f64>>) -> Self {
-        self.rescatter = weights;
         self
     }
 }
@@ -182,15 +166,6 @@ pub enum Action {
         /// The exiting worker.
         worker: usize,
     },
-    /// The retune controller re-scatters every deque remainder using
-    /// the live-weight vector `ModelConfig::rescatter[plan]` — the same
-    /// [`rescatter_plan`] arithmetic `IntervalDeques::rescatter` runs,
-    /// with exited workers masked to weight zero the way retired slots
-    /// are live.
-    Rescatter {
-        /// Index into [`ModelConfig::rescatter`].
-        plan: usize,
-    },
     /// The gather/merge step, once every worker has exited.
     Merge,
 }
@@ -203,7 +178,6 @@ impl fmt::Display for Action {
             Action::ScanEnd { worker } => write!(f, "scan-end(w{worker})"),
             Action::Steal { worker, victim } => write!(f, "steal(w{worker}<-w{victim})"),
             Action::Exit { worker } => write!(f, "exit(w{worker})"),
-            Action::Rescatter { plan } => write!(f, "rescatter(#{plan})"),
             Action::Merge => write!(f, "merge"),
         }
     }
@@ -453,17 +427,6 @@ impl Model {
             return vec![Action::Merge];
         }
         let mut out = Vec::new();
-        // The retune controller may fire between any two worker steps —
-        // but only while the stop flag is down (drive_chunk checks it
-        // before electing a re-scatter) and only when the plan actually
-        // moves work (a proportional fleet yields no transition).
-        if !s.stop {
-            for plan in 0..self.cfg.rescatter.len() {
-                if self.rescatter_plan_for(s, plan).is_some() {
-                    out.push(Action::Rescatter { plan });
-                }
-            }
-        }
         for worker in 0..self.cfg.workers {
             if *s.done.get(worker).expect("worker index") {
                 continue;
@@ -496,36 +459,10 @@ impl Model {
                 }
             }
             if !victims {
-                // Static scatter with the retune controller on: a
-                // drained worker waits for a re-scatter to refill it
-                // (drive_leaf's wait-for-refill loop) and only exits
-                // once the whole fleet is drained. The wait itself is
-                // not a transition — the worker simply has no enabled
-                // action until another worker or the controller moves.
-                let waiting = !self.cfg.steal
-                    && !self.cfg.rescatter.is_empty()
-                    && s.slots.iter().any(|iv| !iv.is_empty());
-                if !waiting {
-                    out.push(Action::Exit { worker });
-                }
+                out.push(Action::Exit { worker });
             }
         }
         out
-    }
-
-    /// The plan `Action::Rescatter { plan }` would apply from `s`, if it
-    /// changes anything: the live [`rescatter_plan`] over the current
-    /// deque remainders, with exited workers' weights masked to zero
-    /// exactly as `IntervalDeques::rescatter` masks retired slots.
-    fn rescatter_plan_for(&self, s: &ModelState, plan: usize) -> Option<Vec<Interval>> {
-        let weights = self.cfg.rescatter.get(plan)?;
-        assert_eq!(weights.len(), self.cfg.workers, "one weight per worker");
-        let masked: Vec<f64> = weights
-            .iter()
-            .zip(&s.done)
-            .map(|(&w, &done)| if done { 0.0 } else { w })
-            .collect();
-        rescatter_plan(&s.slots, &masked)
     }
 
     /// Apply `a` to `s`. Returns the successor state, or the fault when
@@ -614,12 +551,6 @@ impl Model {
             }
             Action::Exit { worker } => {
                 *n.done.get_mut(worker).expect("worker index") = true;
-            }
-            Action::Rescatter { plan } => {
-                let new_slots = self
-                    .rescatter_plan_for(s, plan)
-                    .expect("caller only applies enabled actions");
-                n.slots = new_slots.into_iter().map(norm).collect();
             }
             Action::Merge => {
                 let merged = if self.cfg.first_hit {
@@ -751,14 +682,10 @@ impl Model {
                 | Action::ScanEnd { worker }
                 | Action::Exit { worker } => (worker, None),
                 Action::Steal { worker, victim } => (worker, Some(victim)),
-                Action::Rescatter { .. } | Action::Merge => (usize::MAX, None),
+                Action::Merge => (usize::MAX, None),
             }
         }
-        // A re-scatter reads and writes every deque slot: globally
-        // dependent, like the merge.
-        if matches!(a, Action::Merge | Action::Rescatter { .. })
-            || matches!(b, Action::Merge | Action::Rescatter { .. })
-        {
+        if a == Action::Merge || b == Action::Merge {
             return false;
         }
         let (aw, av) = touched(a);
@@ -827,7 +754,6 @@ mod tests {
             first_hit: false,
             hits: vec![],
             quantum: 4,
-            rescatter: Vec::new(),
             mutation: None,
         };
         let m = Model::new(cfg.clone());
@@ -862,79 +788,6 @@ mod tests {
         s = m.apply(&s, Action::Steal { worker: 1, victim: 0 }).unwrap();
         assert_eq!(s.slot(0).len, live.remaining(0), "victim keeps the same front half");
         assert_eq!(s.slot(1).len, live.remaining(1), "thief holds the same back half");
-        m.check_invariants(&s).unwrap();
-    }
-
-    /// The model's re-scatter replays the live `IntervalDeques::rescatter`
-    /// step for step: same plan arithmetic, same retirement masking.
-    #[test]
-    fn rescatter_transition_mirrors_live_interval_deques() {
-        let weights = vec![vec![3.0, 1.0]];
-        let m = Model::new(
-            ModelConfig::exhaustive(2, 12).with_rescatter(weights.clone()),
-        );
-        let mut s = m.initial();
-        let live = IntervalDeques::scatter(Interval::new(0, 12), &[1.0, 1.0]);
-
-        // From the even initial scatter no single-interval plan can move
-        // work (every slot already holds its one range), so the
-        // transition is disabled — on both sides.
-        let a = Action::Rescatter { plan: 0 };
-        assert!(!m.enabled(&s).contains(&a), "even fleet has nothing to move");
-        assert!(!live.rescatter(&weights[0]), "live agrees: no-op plan");
-
-        // Drain most of worker 0's share: now worker 0 (the 3x-weighted
-        // slot) holds the small remainder and the plan swaps ranges.
-        for _ in 0..4 {
-            s = m.apply(&s, Action::Pop { worker: 0 }).unwrap();
-            s = m.apply(&s, Action::ScanBegin { worker: 0 }).unwrap();
-            s = m.apply(&s, Action::ScanEnd { worker: 0 }).unwrap();
-            live.pop(0, ChunkPolicy::Fixed(1)).unwrap();
-        }
-        assert!(m.enabled(&s).contains(&a), "skewed remainders enable the re-scatter");
-        s = m.apply(&s, a).unwrap();
-        assert!(live.rescatter(&weights[0]), "live deques rebalance too");
-        for w in 0..2 {
-            assert_eq!(s.slot(w).len, live.remaining(w), "slot {w} remainder");
-        }
-        m.check_invariants(&s).unwrap();
-        // Immediately re-applying the same weights is a no-op, so the
-        // transition is disabled — the controller cannot livelock.
-        assert!(!m.enabled(&s).contains(&a), "rebalanced fleet disables the plan");
-    }
-
-    #[test]
-    fn static_workers_wait_for_a_rescatter_instead_of_exiting() {
-        let cfg = ModelConfig {
-            steal: false,
-            ..ModelConfig::exhaustive(2, 8)
-        }
-        .with_rescatter(vec![vec![1.0, 1.0]]);
-        let m = Model::new(cfg);
-        let mut s = m.initial();
-        // Drain worker 1's share.
-        while !s.slot(1).is_empty() {
-            s = m.apply(&s, Action::Pop { worker: 1 }).unwrap();
-            while !ModelState::get(&s.in_flight, 1).is_empty() {
-                s = m.apply(&s, Action::ScanBegin { worker: 1 }).unwrap();
-                s = m.apply(&s, Action::ScanEnd { worker: 1 }).unwrap();
-            }
-        }
-        // Worker 0 still holds keys: the drained worker has no Exit —
-        // it waits for the controller, exactly like the live
-        // wait-for-refill loop.
-        let enabled = m.enabled(&s);
-        assert!(
-            !enabled.contains(&Action::Exit { worker: 1 }),
-            "drained static worker must wait while the fleet holds keys: {enabled:?}"
-        );
-        assert!(
-            enabled.iter().any(|a| matches!(a, Action::Rescatter { .. })),
-            "the even-weight plan can refill the drained slot: {enabled:?}"
-        );
-        // After the re-scatter the waiter owns work again.
-        s = m.apply(&s, Action::Rescatter { plan: 0 }).unwrap();
-        assert!(!s.slot(1).is_empty(), "re-scatter refilled the waiter");
         m.check_invariants(&s).unwrap();
     }
 

@@ -28,8 +28,8 @@ use eks::core::prop::{forall, Rng};
 use eks::cracker::batch::Lanes;
 use eks::cracker::{cpu_backend, TargetSet};
 use eks::engine::{
-    poll_quantum, Backend, ChunkPolicy, Dispatcher, IntervalDeques, Retune, ScanMode,
-    ScanReport, SchedOptions, SchedPolicy,
+    poll_quantum, Backend, ChunkPolicy, Dispatcher, IntervalDeques, ScanMode, ScanReport,
+    SchedPolicy,
 };
 use eks::hashes::HashAlgo;
 use eks::keyspace::{Charset, Interval, KeySpace, Order};
@@ -100,127 +100,6 @@ fn random_steal_interleavings_cover_every_identifier_exactly_once() {
         assert_eq!(cursor, interval.end(), "the tail is covered");
         let total: u128 = popped.iter().map(|iv| iv.len).sum();
         assert_eq!(total, len, "every identifier handed out exactly once");
-    });
-}
-
-/// The adaptive extension of the exactly-once property: re-scatters
-/// injected at *arbitrary* points of a random pop/steal interleaving —
-/// with arbitrary (sometimes zero, sometimes degenerate) live weights —
-/// still hand out every identifier exactly once. This is the
-/// load-shaped cousin of the test above: a re-scatter may move any
-/// queued remainder between any pair of slots at any moment, and the
-/// union of popped chunks must still tile the interval.
-#[test]
-fn random_rescatter_points_preserve_exactly_once_coverage() {
-    forall("exactly-once under re-scattering", 60, |rng: &mut Rng| {
-        let start = rng.range_u128(0, 1 << 40);
-        let len = rng.range_u128(1, 200_000);
-        let slots = rng.range(2, 6) as usize;
-        let interval = Interval::new(start, len);
-        let deques = IntervalDeques::scatter(interval, &vec![1.0; slots]);
-        let policy = ChunkPolicy::Guided { min: rng.range(1, 2000) as u128 };
-
-        let mut popped: Vec<Interval> = Vec::new();
-        let mut rescatters = 0u32;
-        loop {
-            // An eighth of the steps are drift corrections instead of
-            // pops: fresh pseudo-live weights, zeros included (a slot
-            // the estimator believes is dead keeps its queue but takes
-            // no new work).
-            if rng.index(8) == 0 {
-                let live: Vec<f64> = (0..slots)
-                    .map(|_| if rng.index(5) == 0 { 0.0 } else { rng.range(1, 400) as f64 })
-                    .collect();
-                if deques.rescatter(&live) {
-                    rescatters += 1;
-                }
-                continue;
-            }
-            let slot = rng.index(slots);
-            match deques.pop(slot, policy) {
-                Some(chunk) => popped.push(chunk),
-                None => {
-                    if deques.steal_into(slot).is_none() {
-                        break;
-                    }
-                }
-            }
-        }
-
-        popped.sort_by_key(|iv| iv.start);
-        let mut cursor = interval.start;
-        for chunk in &popped {
-            assert_eq!(
-                chunk.start, cursor,
-                "chunks tile without gap or overlap ({rescatters} re-scatters)"
-            );
-            assert!(!chunk.is_empty(), "no empty pops");
-            cursor = chunk.end();
-        }
-        assert_eq!(cursor, interval.end(), "the tail is covered");
-        let total: u128 = popped.iter().map(|iv| iv.len).sum();
-        assert_eq!(total, len, "every identifier handed out exactly once");
-    });
-}
-
-/// The live closed loop end to end: seeded configurations run the real
-/// threaded dispatcher with `--retune` semantics (drift threshold zero,
-/// so every elected check re-scatters) and must match the retune-off
-/// reference exactly — same exhaustive coverage, same identifier-sorted
-/// hit set, and under first-hit the same planted key. This is the
-/// integration-level counterpart of the model checker's `Rescatter`
-/// transitions: the re-scatter points here fall wherever real chunk
-/// timings put them.
-#[test]
-fn retuned_dispatch_preserves_coverage_and_merge_determinism() {
-    forall("retuned dispatch equivalence", 6, |rng: &mut Rng| {
-        let s = space();
-        let backend = cpu_backend(Lanes::L8);
-        let workers = rng.range(2, 4) as usize;
-        let chunk = rng.range(512, 4096) as u128;
-        let retune = Retune {
-            every_chunks: rng.range(1, 4),
-            // Zero threshold: every elected drift check re-scatters, so
-            // the run crosses as many re-scatter points as possible.
-            drift_pct: 0,
-        };
-
-        // Exhaustive: the retuned run must agree with the static
-        // reference on total coverage and the full merged hit set.
-        let planted: Vec<Vec<u8>> = (0..rng.range(1, 3))
-            .map(|_| s.key_at(rng.range_u128(0, s.size() - 1)).as_bytes().to_vec())
-            .collect();
-        let t = TargetSet::new(
-            HashAlgo::Md5,
-            &planted.iter().map(|w| HashAlgo::Md5.hash_long(w)).collect::<Vec<_>>(),
-        );
-        let reference = {
-            let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-            d.run_workers(backend.as_ref(), s.interval(), workers, chunk as u64, SchedPolicy::Steal);
-            d.finish()
-        };
-        let retuned = {
-            let d = Dispatcher::new(&s, &t, ScanMode::Exhaustive);
-            let opts = SchedOptions::for_policy(SchedPolicy::Steal, chunk).with_retune(retune);
-            d.run_workers_opts(backend.as_ref(), s.interval(), workers, opts);
-            d.finish()
-        };
-        assert_eq!(retuned.tested, s.size(), "exactly-once coverage under retune");
-        assert_eq!(reference.tested, s.size(), "reference covers the space too");
-        assert_eq!(retuned.hits, reference.hits, "identifier-sorted merge is identical");
-
-        // First-hit: one planted key; however the re-scatters shuffled
-        // the queues, the merge must surface exactly that key.
-        let id = rng.range_u128(0, s.size() - 1);
-        let key = s.key_at(id);
-        let t1 = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash_long(key.as_bytes())]);
-        let d = Dispatcher::new(&s, &t1, ScanMode::FirstHit);
-        let opts = SchedOptions::for_policy(SchedPolicy::Steal, chunk).with_retune(retune);
-        d.run_workers_opts(backend.as_ref(), s.interval(), workers, opts);
-        let r = d.finish();
-        assert_eq!(r.hits.len(), 1, "planted key at id {id} under retune");
-        assert_eq!(r.hits[0].1.as_bytes(), key.as_bytes());
-        assert!(r.tested <= s.size(), "never more than the space");
     });
 }
 

@@ -156,9 +156,6 @@ fn cluster_round_metrics_reconcile_exactly() {
                 first_hit_only: rng.u64() % 2 == 0,
                 lose_worker: None,
                 sched: SchedPolicy::Steal,
-                // Half the seeds run the closed loop: the telemetry
-                // reconciliation must hold with re-scatters in play too.
-                retune: rng.u64() % 2 == 0,
             },
             &telemetry,
         );
