@@ -140,6 +140,13 @@ if ! grep -q '"key":"3331343135393236"' "$SPOOL_DIR/job-1.json"; then
   echo "FAIL: job-1 never found its planted key" >&2
   exit 1
 fi
+# The round loop and the default lanes8 fleet's batch path are not dark.
+for metric in eks_rounds_total eks_batch_fill_ns; do
+  if ! grep -q "^$metric" "$SPOOL_DIR/jobs.prom"; then
+    echo "FAIL: the restarted job run's metrics lack $metric" >&2
+    exit 1
+  fi
+done
 # The per-job telemetry dimension renders in the report.
 ./target/release/eks report --metrics "$SPOOL_DIR/jobs.prom" --trace "$SPOOL_DIR/jobs.jsonl" \
   | grep -q "job-1" || { echo "FAIL: report lacks the per-job table" >&2; exit 1; }

@@ -164,21 +164,23 @@ fn virtual_throughput(algo: HashAlgo, kind: BackendKind, workers: usize) -> f64 
         while let Some(w) =
             (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w])
         {
-            match deques.pop(w, policy) {
-                Some(chunk) => {
-                    let t0 = Instant::now();
-                    let out =
-                        backend.scan(&space, &impossible, chunk, &stop, ScanMode::Exhaustive);
-                    clock[w] += t0.elapsed().as_nanos() as u64;
-                    assert!(out.hits.is_empty(), "impossible target must not hit");
-                }
-                None => {
-                    clock[w] += STEAL_NS;
-                    if deques.steal_into(w).is_none() {
-                        done[w] = true;
-                    }
-                }
-            }
+            // A drained worker steals and scans the loot in the same
+            // turn, as a real worker does: yielding the turn after the
+            // steal could bounce a one-key remainder between two drained
+            // slots forever.
+            let chunk = deques.pop(w, policy).or_else(|| {
+                clock[w] += STEAL_NS;
+                deques.steal_into(w)?;
+                deques.pop(w, policy)
+            });
+            let Some(chunk) = chunk else {
+                done[w] = true;
+                continue;
+            };
+            let t0 = Instant::now();
+            let out = backend.scan(&space, &impossible, chunk, &stop, ScanMode::Exhaustive);
+            clock[w] += t0.elapsed().as_nanos() as u64;
+            assert!(out.hits.is_empty(), "impossible target must not hit");
         }
         let makespan_ns = clock.iter().copied().max().unwrap_or(0).max(1);
         if i > 0 {
@@ -285,25 +287,29 @@ fn skewed_fleet_arm(steal: bool) -> FleetArm {
         let mut done = vec![false; workers];
         let mut steals = 0u64;
         while let Some(w) = (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w]) {
-            match deques.pop(w, policy) {
-                Some(chunk) => {
-                    let t0 = Instant::now();
-                    let out = backends[w]
-                        .scan(&space, &impossible, chunk, &stop, ScanMode::Exhaustive);
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    clock[w] += ns;
-                    busy[w] += ns;
-                    assert!(out.hits.is_empty(), "impossible target must not hit");
-                }
+            // A thief scans its loot in the same turn, as in
+            // `virtual_throughput`.
+            let chunk = match deques.pop(w, policy) {
+                Some(chunk) => Some(chunk),
                 None if steal => {
                     clock[w] += STEAL_NS;
-                    match deques.steal_into(w) {
-                        Some(_) => steals += 1,
-                        None => done[w] = true,
-                    }
+                    deques.steal_into(w).and_then(|_| {
+                        steals += 1;
+                        deques.pop(w, policy)
+                    })
                 }
-                None => done[w] = true,
-            }
+                None => None,
+            };
+            let Some(chunk) = chunk else {
+                done[w] = true;
+                continue;
+            };
+            let t0 = Instant::now();
+            let out = backends[w].scan(&space, &impossible, chunk, &stop, ScanMode::Exhaustive);
+            let ns = t0.elapsed().as_nanos() as u64;
+            clock[w] += ns;
+            busy[w] += ns;
+            assert!(out.hits.is_empty(), "impossible target must not hit");
         }
         let makespan_ns = clock.iter().copied().max().unwrap_or(0).max(1);
         let total_busy: u64 = busy.iter().sum();

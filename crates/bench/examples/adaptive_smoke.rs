@@ -95,25 +95,28 @@ fn run_arm(steal: bool) -> (f64, u128) {
     let mut done = vec![false; workers];
     let mut tested: u128 = 0;
     while let Some(w) = (0..workers).filter(|&w| !done[w]).min_by_key(|&w| clock[w]) {
-        match deques.pop(w, policy) {
-            Some(chunk) => {
-                let t0 = Instant::now();
-                let out =
-                    backends[w].scan(&space, &impossible, chunk, &stop, ScanMode::Exhaustive);
-                let ns = t0.elapsed().as_nanos() as u64;
-                clock[w] += ns;
-                busy[w] += ns;
-                tested += out.tested;
-                assert!(out.hits.is_empty(), "impossible target must not hit");
-            }
+        // A drained worker steals and scans the loot in the same turn,
+        // as a real worker does: yielding the turn after the steal could
+        // bounce a one-key remainder between two drained slots forever.
+        let chunk = match deques.pop(w, policy) {
+            Some(chunk) => Some(chunk),
             None if steal => {
                 clock[w] += STEAL_NS;
-                if deques.steal_into(w).is_none() {
-                    done[w] = true;
-                }
+                deques.steal_into(w).and_then(|_| deques.pop(w, policy))
             }
-            None => done[w] = true,
-        }
+            None => None,
+        };
+        let Some(chunk) = chunk else {
+            done[w] = true;
+            continue;
+        };
+        let t0 = Instant::now();
+        let out = backends[w].scan(&space, &impossible, chunk, &stop, ScanMode::Exhaustive);
+        let ns = t0.elapsed().as_nanos() as u64;
+        clock[w] += ns;
+        busy[w] += ns;
+        tested += out.tested;
+        assert!(out.hits.is_empty(), "impossible target must not hit");
     }
     let makespan = clock.iter().copied().max().unwrap_or(0).max(1);
     let total_busy: u64 = busy.iter().sum();

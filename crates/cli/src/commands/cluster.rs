@@ -2,8 +2,7 @@
 
 use crate::args::Args;
 use eks_cluster::{
-    paper_network, run_cluster_search_observed, simulate_search, tune_device, AchievedModel,
-    SimParams,
+    paper_network, run_cluster_search, simulate_search, tune_device, AchievedModel, SimParams,
 };
 use eks_cracker::{render_worker_stats, TargetSet};
 use eks_engine::SchedPolicy;
@@ -14,12 +13,12 @@ use eks_keyspace::{Charset, KeySpace, Order};
 
 use super::{
     arm_flight_recorder, parse_algo, parse_charset, parse_sched, parse_telemetry,
-    spawn_metrics_server, write_artifacts,
+    spawn_metrics_server, write_artifacts, NOT_FOUND,
 };
 
 /// Really crack a digest across a heterogeneous cluster: every simulated
-/// GPU becomes a [`SimKernelBackend`], every `cpu:N` worker a lane
-/// backend, and the whole tree runs through the one dispatch core.
+/// GPU becomes a `SimKernelBackend`, every `cpu:N` worker an auto-tuned
+/// CPU backend, and the whole tree runs through the one dispatch core.
 pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
     let algo = parse_algo(args)?;
     let digest_hex = args.get("digest").ok_or("cluster requires --digest <hex>")?;
@@ -54,7 +53,7 @@ pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
         space.size(),
         algo.name(),
     ));
-    let r = run_cluster_search_observed(
+    let r = run_cluster_search(
         &net,
         &space,
         &targets,
@@ -70,7 +69,7 @@ pub(super) fn cmd_cluster(args: &Args) -> Result<(), String> {
     ));
     write_artifacts(args, &telemetry, &log)?;
     if r.hits.is_empty() {
-        return Err(format!("not found; tested {} keys", r.tested));
+        return Err(format!("{NOT_FOUND}; tested {} keys", r.tested));
     }
     for (id, key, _) in &r.hits {
         println!("FOUND: \"{key}\" (identifier {id})");
@@ -166,7 +165,7 @@ pub(super) fn cmd_strength(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use crate::args::Args;
-    use crate::commands::run;
+    use crate::commands::{run, wants_usage_hint};
     use eks_hashes::{to_hex, HashAlgo};
     use eks_telemetry::parse_prometheus;
 
@@ -186,9 +185,11 @@ mod tests {
             "cluster", "--digest", &"00".repeat(16), "--max", "2",
             "--topology", "box(660, cpu:2)",
         ]);
-        assert!(run("cluster", &not_found).is_err());
+        let err = run("cluster", &not_found).expect_err("nothing to find");
+        assert!(!wants_usage_hint(&err), "a miss is an outcome: {err}");
         let no_digest = args(&["cluster"]);
-        assert!(run("cluster", &no_digest).is_err());
+        let err = run("cluster", &no_digest).expect_err("--digest is required");
+        assert!(wants_usage_hint(&err), "{err}");
     }
 
     #[test]

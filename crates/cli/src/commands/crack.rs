@@ -3,8 +3,8 @@
 use crate::args::Args;
 use eks_cluster::SimKernelBackend;
 use eks_cracker::{
-    cpu_backend, crack_parallel_backend_observed, crack_parallel_observed, render_worker_stats,
-    AutoBackend, HashTarget, Lanes, ParallelConfig, SimdBackend, TargetSet,
+    crack_parallel_backend_observed, render_worker_stats, AutoBackend, HashTarget, LaneBackend,
+    Lanes, ParallelConfig, ScalarBackend, SimdBackend, TargetSet,
 };
 use eks_engine::{Backend, BackendKind, ProgressEvent, SchedPolicy};
 use eks_gpusim::device::DeviceCatalog;
@@ -14,7 +14,7 @@ use eks_keyspace::{KeySpace, Order};
 
 use super::{
     arm_flight_recorder, parse_algo, parse_charset, parse_chunk, parse_sched, parse_telemetry,
-    parse_threads, spawn_metrics_server, write_artifacts,
+    parse_threads, spawn_metrics_server, write_artifacts, NOT_FOUND,
 };
 
 /// `--batch` opts into the lane-batched path explicitly (it is already the
@@ -41,12 +41,20 @@ fn parse_lanes(args: &Args) -> Result<Lanes, String> {
 /// ISA, or the one forced by `--isa`); `auto` tunes every CPU
 /// implementation per algorithm and runs the winner. An unavailable
 /// forced ISA is a CLI error naming what the CPU actually supports.
-fn parse_backend(args: &Args, telemetry: &Telemetry) -> Result<Option<Box<dyn Backend>>, String> {
+/// Without `--backend` the lane backend of width `lanes` runs.
+fn parse_backend(
+    args: &Args,
+    lanes: Lanes,
+    telemetry: &Telemetry,
+) -> Result<Box<dyn Backend>, String> {
+    let lane_backend = |lanes| -> Box<dyn Backend> {
+        Box::new(LaneBackend::new(lanes).with_telemetry(telemetry.clone()))
+    };
     let Some(s) = args.get("backend") else {
         if args.has("isa") {
             return Err("--isa applies only to --backend simd".into());
         }
-        return Ok(None);
+        return Ok(lane_backend(lanes));
     };
     if args.has("lanes") || args.has("batch") {
         return Err("--backend conflicts with --lanes/--batch".into());
@@ -57,10 +65,10 @@ fn parse_backend(args: &Args, telemetry: &Telemetry) -> Result<Option<Box<dyn Ba
     if args.has("isa") && kind != BackendKind::Simd {
         return Err("--isa applies only to --backend simd".into());
     }
-    Ok(Some(match kind {
-        BackendKind::Scalar => cpu_backend(Lanes::Scalar),
-        BackendKind::Lanes8 => cpu_backend(Lanes::L8),
-        BackendKind::Lanes16 => cpu_backend(Lanes::L16),
+    Ok(match kind {
+        BackendKind::Scalar => Box::new(ScalarBackend),
+        BackendKind::Lanes8 => lane_backend(Lanes::L8),
+        BackendKind::Lanes16 => lane_backend(Lanes::L16),
         BackendKind::Simd => {
             let backend = match args.get("isa") {
                 Some(name) => {
@@ -82,7 +90,7 @@ fn parse_backend(args: &Args, telemetry: &Telemetry) -> Result<Option<Box<dyn Ba
                 DeviceCatalog::find(args.get_or("device", "660")).ok_or("unknown --device")?;
             Box::new(SimKernelBackend::new(device))
         }
-    }))
+    })
 }
 
 /// How often the periodic progress line refreshes (telemetry-clock ns).
@@ -123,14 +131,14 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     let (telemetry, log) = parse_telemetry(args)?;
     let _metrics_server = spawn_metrics_server(args, &telemetry, None)?;
     arm_flight_recorder(args, &telemetry);
-    let backend = parse_backend(args, &telemetry)?;
+    let backend = parse_backend(args, lanes, &telemetry)?;
     let chunk = parse_chunk(args)?;
     let sched = parse_sched(args, SchedPolicy::Steal)?;
     let structured = args.get("mask").is_some()
         || args.get("words").is_some()
         || args.get("salt-prefix").is_some()
         || args.get("salt-suffix").is_some();
-    if backend.is_some() && structured {
+    if args.has("backend") && structured {
         return Err("--backend applies only to plain charset searches".into());
     }
     if args.get("sched").is_some() && structured {
@@ -207,14 +215,13 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
                 println!("FOUND: \"{key}\" (identifier {id})");
                 Ok(())
             }
-            None => Err("not found in this keyspace".into()),
+            None => Err(format!("{NOT_FOUND} in this keyspace")),
         };
     }
 
     let targets = TargetSet::new(algo, &[digest]);
     let mut config = ParallelConfig {
         first_hit_only: !args.has("all"),
-        lanes,
         sched,
         ..ParallelConfig::for_threads(threads)
     };
@@ -256,33 +263,24 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
     // per-architecture choice) and its tuned rate, so `eks report` can
     // show them next to the cost-model terms. Guarded on the enabled
     // handle because the tuned rate runs a short timed sweep.
-    if let Some(b) = backend.as_deref() {
-        if telemetry.is_enabled() {
-            let name = b.name();
-            if let Some(isa) = b.isa(algo) {
-                telemetry
-                    .gauge(names::BACKEND_ISA, &[("backend", &name), ("isa", &isa)])
-                    .set(1.0);
-            }
-            telemetry
-                .gauge(names::BACKEND_RATE_MKEYS, &[("backend", &name)])
-                .set(b.tuned_rate(algo));
+    if args.has("backend") && telemetry.is_enabled() {
+        let name = backend.name();
+        if let Some(isa) = backend.isa(algo) {
+            telemetry.gauge(names::BACKEND_ISA, &[("backend", &name), ("isa", &isa)]).set(1.0);
         }
+        telemetry
+            .gauge(names::BACKEND_RATE_MKEYS, &[("backend", &name)])
+            .set(backend.tuned_rate(algo));
     }
-    let report = match backend {
-        Some(b) => crack_parallel_backend_observed(
-            &space,
-            &targets,
-            space.interval(),
-            b.as_ref(),
-            config,
-            &telemetry,
-            progress,
-        ),
-        None => {
-            crack_parallel_observed(&space, &targets, space.interval(), config, &telemetry, progress)
-        }
-    };
+    let report = crack_parallel_backend_observed(
+        &space,
+        &targets,
+        space.interval(),
+        backend.as_ref(),
+        config,
+        &telemetry,
+        progress,
+    );
     if args.has("stats") {
         print!("{}", render_worker_stats(&report.stats));
     }
@@ -293,7 +291,7 @@ pub(super) fn cmd_crack(args: &Args) -> Result<(), String> {
 fn finish_report(report: eks_cracker::ParallelReport) -> Result<(), String> {
     if report.hits.is_empty() {
         return Err(format!(
-            "not found; tested {} keys at {:.2} MKey/s",
+            "{NOT_FOUND}; tested {} keys at {:.2} MKey/s",
             report.tested, report.mkeys_per_s
         ));
     }
@@ -310,7 +308,7 @@ fn finish_report(report: eks_cracker::ParallelReport) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use crate::args::Args;
-    use crate::commands::run;
+    use crate::commands::{run, wants_usage_hint};
     use eks_engine::BackendKind;
     use eks_hashes::{to_hex, HashAlgo, SimdIsa};
     use eks_telemetry::{names, parse_prometheus};
@@ -460,6 +458,25 @@ mod tests {
     }
 
     #[test]
+    fn crack_with_lanes8_backend_records_batch_path_metrics() {
+        let dir = std::env::temp_dir();
+        let metrics = dir.join(format!("eks-cli-lanes8-{}.prom", std::process::id()));
+        let digest = to_hex(&HashAlgo::Md5.hash(b"zzz"));
+        let a = args(&[
+            "crack", "--digest", &digest, "--max", "3", "--threads", "2", "--all",
+            "--backend", "lanes8", "--metrics-out", metrics.to_str().unwrap(),
+        ]);
+        assert!(run("crack", &a).is_ok());
+        let samples = parse_prometheus(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let value = |name: &str| samples.iter().filter(|s| s.name == name).map(|s| s.value).sum();
+        let fill: f64 = value(&format!("{}_count", names::BATCH_FILL_NS));
+        let hash: f64 = value(&format!("{}_count", names::BATCH_HASH_NS));
+        let misses: f64 = value(names::PREFILTER_MISSES);
+        assert!(fill > 0.0 && hash > 0.0 && misses > 0.0, "{samples:?}");
+        std::fs::remove_file(&metrics).ok();
+    }
+
+    #[test]
     fn quiet_and_verbose_conflict_is_a_usage_error() {
         let digest = to_hex(&HashAlgo::Md5.hash(b"cab"));
         let a = args(&["crack", "--digest", &digest, "--max", "3", "--quiet", "--verbose"]);
@@ -491,9 +508,17 @@ mod tests {
 
     #[test]
     fn crack_reports_not_found() {
-        // An impossible digest over a tiny space.
+        // An impossible digest over a tiny space: a non-zero outcome,
+        // not a usage error.
         let a = args(&["crack", "--digest", &"00".repeat(16), "--max", "2", "--threads", "1"]);
-        assert!(run("crack", &a).is_err());
+        let err = run("crack", &a).expect_err("nothing to find");
+        assert!(!wants_usage_hint(&err), "{err}");
+        let a = args(&["crack", "--digest", &"00".repeat(16), "--max", "2", "--salt-prefix", "s"]);
+        let err = run("crack", &a).expect_err("nothing to find");
+        assert!(!wants_usage_hint(&err), "{err}");
+        let usage = args(&["crack", "--digest", &"00".repeat(16), "--max-len", "2"]);
+        let err = run("crack", &usage).expect_err("unknown flag");
+        assert!(wants_usage_hint(&err), "{err}");
     }
 
     #[test]

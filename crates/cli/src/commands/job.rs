@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::args::Args;
-use eks_cracker::{cpu_backend, Lanes};
+use eks_cracker::{LaneBackend, Lanes};
 use eks_engine::checkpoint::escape_json;
 use eks_hashes::{from_hex, HashAlgo};
 use eks_jobs::{
@@ -173,13 +173,13 @@ fn jobs_fn(store: &JobStore) -> eks_telemetry::JobsFn {
 }
 
 /// The default fleet for `job run`/`serve`: `threads` lane-batched CPU
-/// workers with equal scatter weights.
-fn host_fleet(threads: usize) -> Fleet {
+/// workers with equal scatter weights, reporting their batch path.
+fn host_fleet(threads: usize, telemetry: &Telemetry) -> Fleet {
     let members = (0..threads)
         .map(|i| FleetMember {
             label: format!("host/cpu{i} [lanes8]"),
             weight: 1.0,
-            backend: cpu_backend(Lanes::L8),
+            backend: Box::new(LaneBackend::new(Lanes::L8).with_telemetry(telemetry.clone())),
         })
         .collect();
     Fleet::new(members)
@@ -206,7 +206,7 @@ fn job_run(store: JobStore, args: &Args) -> Result<(), String> {
             HashAlgo::Md5,
             &telemetry,
         ),
-        None => host_fleet(threads),
+        None => host_fleet(threads, &telemetry),
     };
     let service = JobService::new(
         store,
@@ -277,7 +277,7 @@ fn serve(
     let runner = run_jobs.then(|| {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
-            let fleet = host_fleet(threads);
+            let fleet = host_fleet(threads, &telemetry);
             let service = JobService::new(
                 shared.store.clone(),
                 ServiceConfig { round_keys, ..ServiceConfig::default() },

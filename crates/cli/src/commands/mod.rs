@@ -77,6 +77,17 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ("-h", &[], &[]),
 ];
 
+/// Prefix of the error a search returns when it ran to the end without
+/// a hit. It still exits non-zero, but it is an outcome, not a usage
+/// mistake, so `main` prints no usage hint after it.
+const NOT_FOUND: &str = "not found";
+
+/// Whether `main` should follow a command error with the usage hint:
+/// every error except a search's "not found" outcome.
+pub fn wants_usage_hint(error: &str) -> bool {
+    !error.starts_with(NOT_FOUND)
+}
+
 /// Dispatch a subcommand after checking its flags against [`FLAGS`].
 pub fn run(command: &str, args: &Args) -> Result<(), String> {
     if let Some((_, values, switches)) = FLAGS.iter().find(|(name, _, _)| *name == command) {

@@ -37,7 +37,9 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             log.error(format!("error: {e}"));
-            log.error("run `eks help` for usage");
+            if commands::wants_usage_hint(&e) {
+                log.error("run `eks help` for usage");
+            }
             ExitCode::FAILURE
         }
     }

@@ -15,10 +15,14 @@
 //! * [`runtime`] — a real multi-threaded runtime (one thread per node,
 //!   scoped std threads) that actually cracks keys through the same
 //!   dispatch pattern, for end-to-end functional verification;
+//! * [`dynamic`] — the virtual-time planning model of a dynamic network
+//!   (joins, leaves and re-tuned rates between rounds);
 //! * [`multijob`] — the same planned tree serving a whole *spool* of
 //!   jobs: the cluster's devices become a persistent [`eks_jobs::Fleet`]
-//!   the job service leases keyspace onto, with join/leave events
-//!   applied between fair-share rounds;
+//!   the job service leases keyspace onto, round after round, with
+//!   join/leave events applied between fair-share rounds. The periodic
+//!   scatter/gather loop runs for real only there, in
+//!   [`eks_jobs::JobService::round`];
 //! * [`fault`] — the minimum fault-tolerance model the paper sketches:
 //!   detect a dead subtree, requeue its outstanding interval, repartition
 //!   over the survivors.
@@ -39,7 +43,6 @@ pub mod dynamic;
 pub mod fault;
 pub mod model;
 pub mod multijob;
-pub mod rounds;
 pub mod runtime;
 pub mod simgpu;
 pub mod spec;
@@ -48,22 +51,13 @@ pub mod topology;
 pub mod tuning;
 
 pub use des::{simulate_search, time_to_first_hit, NetworkReport, SimParams};
-pub use dynamic::{
-    run_dynamic, run_dynamic_search, run_dynamic_search_observed, DynamicConfig, DynamicReport,
-    DynamicSearchConfig, DynamicSearchReport, MembershipEvent, ScheduledEvent,
-    ScheduledSearchEvent, SearchEvent,
-};
+pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, MembershipEvent, ScheduledEvent};
 pub use fault::{simulate_search_with_failure, FailureEvent, FailureReport};
 pub use model::{calibrate, fit_model, FittedModel};
 pub use multijob::{
-    plan_job_fleet, run_cluster_jobs, run_dynamic_jobs, FleetEvent, MultiJobReport,
-    ScheduledFleetEvent,
+    plan_job_fleet, run_dynamic_jobs, FleetEvent, MultiJobReport, ScheduledFleetEvent,
 };
-pub use rounds::{run_rounds, run_rounds_observed, RoundConfig, RoundReport};
-pub use runtime::{
-    run_cluster_search, run_cluster_search_observed, run_cluster_search_retuned,
-    run_cluster_search_sched, ClusterSearchResult,
-};
+pub use runtime::{run_cluster_search, run_cluster_search_retuned, ClusterSearchResult};
 pub use simgpu::SimKernelBackend;
 pub use spec::{paper_network, ClusterNode, CpuWorker, GpuSlot};
 pub use strength::{estimate_against_cluster, estimate_against_device, StrengthEstimate};

@@ -1,18 +1,20 @@
 //! Multi-tenant cluster entry points: a whole spool of jobs over one
-//! dispatch tree.
+//! dispatch tree, driven by the one real round loop,
+//! [`JobService::round`].
 //!
 //! [`plan_job_fleet`] walks the cluster exactly as the runtime's scatter
 //! planning does — one leaf executor per simulated GPU and per CPU
 //! worker thread, weighted by tuned throughput (`N_j = N_max · X_j /
 //! X_max`) — but instead of pre-assigning one search's interval it
 //! yields a persistent [`Fleet`] the job service leases keyspace onto,
-//! round after round. [`run_cluster_jobs`] drives the service until the
-//! spool drains; [`run_dynamic_jobs`] interleaves membership events
-//! between fair-share rounds, so a node joining or leaving the network
-//! interacts correctly with lease reassignment: membership only changes
-//! *between* leases, every lease re-scatters over the then-current
-//! members, and coverage accounting lives in the job records — a leaver
-//! never takes assigned-but-unscanned keys with it.
+//! round after round ([`JobService::run_until_idle`] drains a spool over
+//! it). [`run_dynamic_jobs`] is the paper's dynamic network: it
+//! interleaves membership events between fair-share rounds, so a node
+//! joining or leaving interacts correctly with lease reassignment:
+//! membership only changes *between* leases, every lease re-scatters
+//! over the then-current members, and coverage accounting lives in the
+//! job records — a leaver never takes assigned-but-unscanned keys with
+//! it.
 
 use eks_cracker::AutoBackend;
 use eks_engine::Backend;
@@ -75,20 +77,6 @@ fn collect_members(
     for child in &node.children {
         collect_members(child, algo, telemetry, out);
     }
-}
-
-/// Plan the fleet and drive the service's fair-share rounds until no
-/// runnable job has work left. Returns the number of non-idle rounds.
-///
-/// # Panics
-/// Panics when the cluster holds no device and no CPU worker.
-pub fn run_cluster_jobs(
-    root: &ClusterNode,
-    service: &JobService,
-    algo: HashAlgo,
-) -> Result<u64, JobError> {
-    let fleet = plan_job_fleet(root, algo, service.telemetry());
-    service.run_until_idle(&fleet)
 }
 
 /// A fleet membership change during a multi-job run.
@@ -190,9 +178,11 @@ pub fn run_dynamic_jobs(
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use eks_engine::SchedPolicy;
     use eks_gpusim::device::Device;
     use eks_jobs::{JobSpec, JobState, JobStore, ServiceConfig};
     use eks_keyspace::Order;
+    use eks_telemetry::parse_prometheus;
     use std::path::PathBuf;
 
     fn small_net() -> ClusterNode {
@@ -233,7 +223,8 @@ mod tests {
             store,
             ServiceConfig { round_keys: 8192, ..ServiceConfig::default() },
         );
-        let rounds = run_cluster_jobs(&small_net(), &service, HashAlgo::Md5).unwrap();
+        let fleet = plan_job_fleet(&small_net(), HashAlgo::Md5, service.telemetry());
+        let rounds = service.run_until_idle(&fleet).unwrap();
         assert!(rounds >= 2, "two jobs over {SPACE} keys need several rounds, got {rounds}");
         for (id, word) in [(a.id, &b"cat"[..]), (b.id, b"zzz")] {
             let rec = service.store().load(id).unwrap();
@@ -246,40 +237,67 @@ mod tests {
 
     #[test]
     fn membership_churn_between_rounds_loses_nothing() {
-        let dir = tmp_spool("dynamic");
-        let store = JobStore::open(&dir).unwrap();
-        let a = store.submit(spec("a", b"dog", 1)).unwrap();
-        let b = store.submit(spec("b", b"zzz", 2)).unwrap();
-        let service = JobService::new(
-            store,
-            ServiceConfig { round_keys: 8192, ..ServiceConfig::default() },
-        );
-        let fleet = plan_job_fleet(&small_net(), HashAlgo::Md5, &Telemetry::disabled());
-        let joiner = || {
-            let backend = SimKernelBackend::new(Device::geforce_gtx_550_ti());
-            let weight = backend.tuned_rate(HashAlgo::Md5);
-            FleetMember { label: "B/gtx550ti [simgpu]".into(), weight, backend: Box::new(backend) }
-        };
-        let events = vec![
-            ScheduledFleetEvent {
-                before_round: 1,
-                event: FleetEvent::Join { member: joiner() },
-            },
-            ScheduledFleetEvent {
-                before_round: 3,
-                event: FleetEvent::Leave { label: "B/gtx550ti [simgpu]".into() },
-            },
-        ];
-        let report = run_dynamic_jobs(fleet, &service, events).unwrap();
-        assert_eq!(report.rebalances, 2, "join and leave each rebalance");
-        assert_eq!(report.scanned, 2 * SPACE, "both keyspaces scanned exactly once");
-        assert_eq!(report.completed.len(), 2);
-        for id in [a.id, b.id] {
-            let rec = service.store().load(id).unwrap();
-            assert_eq!(rec.state, JobState::Completed);
-            assert_eq!(rec.tested, SPACE);
+        for sched in [SchedPolicy::Steal, SchedPolicy::Static] {
+            let dir = tmp_spool(&format!("dynamic-{sched:?}"));
+            let store = JobStore::open(&dir).unwrap();
+            let a = store.submit(spec("a", b"dog", 1)).unwrap();
+            let b = store.submit(spec("b", b"zzz", 2)).unwrap();
+            let telemetry = Telemetry::enabled();
+            let config = ServiceConfig { round_keys: 8192, sched, ..ServiceConfig::default() };
+            let service = JobService::new(store, config).with_telemetry(telemetry.clone());
+            let fleet = plan_job_fleet(&small_net(), HashAlgo::Md5, &telemetry);
+            let joiner = || {
+                let backend = SimKernelBackend::new(Device::geforce_gtx_550_ti());
+                let weight = backend.tuned_rate(HashAlgo::Md5);
+                FleetMember {
+                    label: "B/gtx550ti [simgpu]".into(),
+                    weight,
+                    backend: Box::new(backend),
+                }
+            };
+            let events = vec![
+                ScheduledFleetEvent {
+                    before_round: 1,
+                    event: FleetEvent::Join { member: joiner() },
+                },
+                ScheduledFleetEvent {
+                    before_round: 3,
+                    event: FleetEvent::Leave { label: "B/gtx550ti [simgpu]".into() },
+                },
+            ];
+            let report = run_dynamic_jobs(fleet, &service, events).unwrap();
+            assert_eq!(report.rebalances, 2, "{sched:?}: join and leave each rebalance");
+            assert_eq!(report.scanned, 2 * SPACE, "{sched:?}: both keyspaces scanned once");
+            assert_eq!(report.completed.len(), 2);
+            for id in [a.id, b.id] {
+                let rec = service.store().load(id).unwrap();
+                assert_eq!(rec.state, JobState::Completed);
+                assert_eq!(rec.tested, SPACE, "{sched:?}: exactly-once coverage for {id}");
+            }
+
+            // Membership churn is traced and counted.
+            let jsonl = telemetry.trace_jsonl();
+            for event in [names::EVENT_JOIN, names::EVENT_LEAVE] {
+                assert!(jsonl.contains(&format!("\"{event}\"")), "{event} missing: {jsonl}");
+            }
+            let samples = parse_prometheus(&telemetry.render_prometheus()).unwrap();
+            let rebalances: f64 =
+                samples.iter().filter(|s| s.name == names::REBALANCES).map(|s| s.value).sum();
+            assert_eq!(rebalances as u64, report.rebalances);
+            // Static leases give the joiner its own share; under stealing
+            // a starved joiner thread can see that share stolen, so its
+            // key count would depend on the OS scheduler.
+            if sched == SchedPolicy::Static {
+                let joiner: f64 = samples
+                    .iter()
+                    .filter(|s| s.name == names::KEYS_TESTED)
+                    .filter(|s| s.label("worker") == Some("B/gtx550ti [simgpu]"))
+                    .map(|s| s.value)
+                    .sum();
+                assert!(joiner > 0.0, "the joiner took a share");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

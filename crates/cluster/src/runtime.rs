@@ -55,20 +55,14 @@ impl ClusterSearchResult {
     /// efficiency (Tables VII–IX). A run where no clock ticked (for
     /// example an empty interval) reports `0` rather than NaN.
     pub fn parallel_efficiency(&self) -> f64 {
-        cluster_efficiency_pct(&self.stats)
-    }
-}
-
-/// Busy fraction of total worker time across a set of worker stats, in
-/// percent; `0` when no time was recorded.
-pub(crate) fn cluster_efficiency_pct(stats: &[WorkerStats]) -> f64 {
-    let busy: u64 = stats.iter().map(|w| w.busy_ns).sum();
-    let idle: u64 = stats.iter().map(|w| w.idle_ns).sum();
-    let total = busy.saturating_add(idle);
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * busy as f64 / total as f64
+        let busy: u64 = self.stats.iter().map(|w| w.busy_ns).sum();
+        let idle: u64 = self.stats.iter().map(|w| w.idle_ns).sum();
+        let total = busy.saturating_add(idle);
+        if total == 0 {
+            0.0
+        } else {
+            100.0 * busy as f64 / total as f64
+        }
     }
 }
 
@@ -82,55 +76,22 @@ struct Leaf {
     interval: Interval,
 }
 
-/// Execute a search over the cluster with the static (purely
-/// rate-proportional) schedule: every leaf scans exactly its planned
-/// share, so per-device accounting reproduces the paper's
-/// `N_j = N_max · X_j / X_max` split. See [`run_cluster_search_sched`]
-/// to let drained leaves rebalance by stealing.
-pub fn run_cluster_search(
-    root: &ClusterNode,
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    first_hit_only: bool,
-) -> ClusterSearchResult {
-    run_cluster_search_sched(root, space, targets, interval, first_hit_only, SchedPolicy::Static)
-}
-
 /// Execute a search over the cluster: planning mirrors the dispatch
 /// tree (rate-proportional scatter), execution runs every leaf as an
 /// interval-deque owner under one [`Dispatcher`] with the chosen
-/// scheduling policy — [`SchedPolicy::Static`] keeps each leaf on its
-/// planned share, the stealing policies let drained leaves take the
-/// back half of the largest remaining deque. `first_hit_only` stops the
-/// whole tree at the first match.
-pub fn run_cluster_search_sched(
-    root: &ClusterNode,
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    first_hit_only: bool,
-    sched: SchedPolicy,
-) -> ClusterSearchResult {
-    run_cluster_search_observed(
-        root,
-        space,
-        targets,
-        interval,
-        first_hit_only,
-        sched,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`run_cluster_search_sched`] with telemetry attached: the scatter
-/// (planning) and gather/merge steps run under spans, every device
-/// publishes its tuned rate as a gauge, CPU leaves use the observed
-/// batch path, and the whole-network efficiency
-/// ([`ClusterSearchResult::parallel_efficiency`]) lands in the
-/// [`names::CLUSTER_EFFICIENCY_PCT`] gauge — the measured number the
-/// paper reports as 85–90%.
-pub fn run_cluster_search_observed(
+/// scheduling policy. [`SchedPolicy::Static`] keeps each leaf on its
+/// planned share, so per-device accounting reproduces the paper's
+/// `N_j = N_max · X_j / X_max` split; the stealing policies let drained
+/// leaves take the back half of the largest remaining deque.
+/// `first_hit_only` stops the whole tree at the first match.
+///
+/// With an enabled `telemetry` handle the scatter (planning) and
+/// gather/merge steps run under spans, every device publishes its tuned
+/// rate as a gauge, CPU leaves report their batch path, and the
+/// whole-network efficiency ([`ClusterSearchResult::parallel_efficiency`])
+/// lands in the [`names::CLUSTER_EFFICIENCY_PCT`] gauge — the measured
+/// number the paper reports as 85–90%.
+pub fn run_cluster_search(
     root: &ClusterNode,
     space: &KeySpace,
     targets: &TargetSet,
@@ -176,7 +137,7 @@ pub fn run_cluster_search_observed(
     result
 }
 
-/// [`run_cluster_search_observed`] under the call shape the repository
+/// [`run_cluster_search`] under the call shape the repository
 /// benchmark (`perfbench`) was written against. The seventh parameter
 /// is uninhabited, so only `None` compiles.
 #[allow(clippy::too_many_arguments)]
@@ -190,7 +151,7 @@ pub fn run_cluster_search_retuned(
     _none: Option<std::convert::Infallible>,
     telemetry: &Telemetry,
 ) -> ClusterSearchResult {
-    run_cluster_search_observed(root, space, targets, interval, first_hit_only, sched, telemetry)
+    run_cluster_search(root, space, targets, interval, first_hit_only, sched, telemetry)
 }
 
 /// Dispatch weight of a subtree: the sum of its devices' and CPU
@@ -296,12 +257,24 @@ mod tests {
         TargetSet::new(HashAlgo::Md5, &ds)
     }
 
+    /// A static-schedule search without telemetry.
+    fn search(
+        net: &ClusterNode,
+        s: &KeySpace,
+        t: &TargetSet,
+        interval: Interval,
+        first_hit_only: bool,
+    ) -> ClusterSearchResult {
+        let off = Telemetry::disabled();
+        run_cluster_search(net, s, t, interval, first_hit_only, SchedPolicy::Static, &off)
+    }
+
     #[test]
     fn cluster_cracks_a_real_password() {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"gpus"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), true);
+        let r = search(&net, &s, &t, s.interval(), true);
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].1.as_bytes(), b"gpus");
     }
@@ -311,7 +284,7 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"zzzz"]); // last key: forces a full sweep
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         assert_eq!(r.tested, s.size(), "every key tested exactly once");
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.per_device.len(), 5, "five devices participated");
@@ -322,7 +295,7 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"cat", b"dog", b"bird"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         let keys: Vec<&[u8]> = r.hits.iter().map(|(_, k, _)| k.as_bytes()).collect();
         assert_eq!(keys.len(), 3);
         for w in [&b"cat"[..], b"dog", b"bird"] {
@@ -335,7 +308,7 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"zzzz"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         // The GTX 660 (fastest) must receive the largest share; the
         // 8600M GT (slowest) the smallest.
         let share = |pat: &str| {
@@ -355,7 +328,7 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"zzzz"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         assert!(r.per_device.iter().all(|(n, _)| n.contains("[simgpu]")), "{:?}", r.per_device);
     }
 
@@ -365,7 +338,7 @@ mod tests {
         assert!(net.remove_subtree("C"));
         let s = space();
         let t = targets(&[b"mice"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), true);
+        let r = search(&net, &s, &t, s.interval(), true);
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].1.as_bytes(), b"mice");
     }
@@ -379,7 +352,7 @@ mod tests {
         );
         let s = space();
         let t = targets(&[b"owl"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), true);
+        let r = search(&net, &s, &t, s.interval(), true);
         assert_eq!(r.hits[0].1.as_bytes(), b"owl");
     }
 
@@ -395,7 +368,7 @@ mod tests {
         .with_cpu("host-cpu", 2);
         let s = space();
         let t = targets(&[b"fox"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), true);
+        let r = search(&net, &s, &t, s.interval(), true);
         assert_eq!(r.hits[0].1.as_bytes(), b"fox");
     }
 
@@ -412,7 +385,7 @@ mod tests {
         .with_cpu("host-cpu", 2);
         let s = space();
         let t = targets(&[b"zzzz"]); // full sweep: every worker tests
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.tested, s.size());
         let gpu = r.per_device.iter().find(|(n, _)| n.contains("[simgpu]")).expect("gpu worker");
@@ -429,7 +402,7 @@ mod tests {
             .with_cpu("cpu1", 2);
         let s = space();
         let t = targets(&[b"zzzz"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         assert_eq!(r.tested, s.size(), "cpu workers cover the space exactly");
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.per_device.len(), 2);
@@ -440,7 +413,7 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"cat"]);
-        let r = run_cluster_search(&net, &s, &t, Interval::new(0, 0), true);
+        let r = search(&net, &s, &t, Interval::new(0, 0), true);
         assert!(r.hits.is_empty());
         assert_eq!(r.tested, 0);
     }
@@ -450,14 +423,8 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"zzzz"]);
-        let r = run_cluster_search_sched(
-            &net,
-            &s,
-            &t,
-            s.interval(),
-            false,
-            SchedPolicy::Steal,
-        );
+        let off = Telemetry::disabled();
+        let r = run_cluster_search(&net, &s, &t, s.interval(), false, SchedPolicy::Steal, &off);
         assert_eq!(r.tested, s.size(), "stealing neither drops nor doubles keys");
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.stats.len(), r.per_device.len());
@@ -472,7 +439,7 @@ mod tests {
         let net = paper_network(1e-3).with_cpu("host-cpu", 2);
         let s = space();
         let t = targets(&[b"zzzz"]);
-        let r = run_cluster_search_observed(
+        let r = run_cluster_search(
             &net,
             &s,
             &t,
@@ -510,7 +477,7 @@ mod tests {
         let net = paper_network(1e-3);
         let s = space();
         let t = targets(&[b"zzzz"]);
-        let r = run_cluster_search(&net, &s, &t, s.interval(), false);
+        let r = search(&net, &s, &t, s.interval(), false);
         assert!(r.stats.iter().all(|w| w.steals == 0 && w.splits == 0), "{:?}", r.stats);
     }
 }

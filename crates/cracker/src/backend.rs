@@ -27,10 +27,7 @@ use eks_hashes::{HashAlgo, SimdHasher, SimdIsa};
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
 use eks_telemetry::Telemetry;
 
-use crate::batch::{
-    crack_interval_batched, crack_interval_batched_observed, crack_interval_simd,
-    crack_interval_simd_observed, Lanes,
-};
+use crate::batch::{crack_interval_batched, crack_interval_simd, Lanes};
 use crate::engine::crack_interval;
 use crate::target::TargetSet;
 
@@ -64,16 +61,25 @@ impl Backend for ScalarBackend {
 }
 
 /// The lane-batched SIMD backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct LaneBackend {
     /// Lane width of the batched test path.
     pub lanes: Lanes,
+    telemetry: Telemetry,
 }
 
 impl LaneBackend {
-    /// A backend with the given lane width.
+    /// A backend with the given lane width (telemetry disabled).
     pub fn new(lanes: Lanes) -> Self {
-        Self { lanes }
+        Self { lanes, telemetry: Telemetry::disabled() }
+    }
+
+    /// Attach a telemetry handle: sampled batch fill/hash timing and
+    /// prefilter hit/miss counters flow into the shared registry.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 }
 
@@ -100,6 +106,7 @@ impl Backend for LaneBackend {
             stop,
             mode.first_hit_only(),
             self.lanes,
+            &self.telemetry,
         )
     }
 
@@ -128,62 +135,8 @@ pub fn cpu_backend(lanes: Lanes) -> Box<dyn Backend> {
     }
 }
 
-/// A [`LaneBackend`] with batch-path telemetry attached: identical
-/// scans and tuned rate, plus sampled batch-fill/hash timing and
-/// prefilter hit/miss counters flowing into the shared registry.
-#[derive(Debug, Clone)]
-pub struct ObservedLaneBackend {
-    lanes: Lanes,
-    telemetry: Telemetry,
-}
-
-impl ObservedLaneBackend {
-    /// An observed backend for a lane width.
-    pub fn new(lanes: Lanes, telemetry: Telemetry) -> Self {
-        Self { lanes, telemetry }
-    }
-}
-
-impl Backend for ObservedLaneBackend {
-    fn name(&self) -> String {
-        LaneBackend::new(self.lanes).name()
-    }
-
-    fn scan(
-        &self,
-        space: &KeySpace,
-        targets: &TargetSet,
-        interval: Interval,
-        stop: &AtomicBool,
-        mode: ScanMode,
-    ) -> ScanReport {
-        crack_interval_batched_observed(
-            space,
-            targets,
-            interval,
-            stop,
-            mode.first_hit_only(),
-            self.lanes,
-            &self.telemetry,
-        )
-    }
-
-    fn tuned_rate(&self, algo: HashAlgo) -> f64 {
-        measured_rate(TuneKey::Lanes(self.lanes), algo)
-    }
-
-    fn isa(&self, _algo: HashAlgo) -> Option<String> {
-        Some(lanes_isa(self.lanes).into())
-    }
-}
-
-/// Like [`cpu_backend`] but with telemetry attached to the batch path.
-pub fn cpu_backend_observed(lanes: Lanes, telemetry: Telemetry) -> Box<dyn Backend> {
-    Box::new(ObservedLaneBackend::new(lanes, telemetry))
-}
-
 /// The explicit-SIMD backend: a [`SimdHasher`] (whose construction
-/// proved the ISA at runtime) driving [`crack_interval_simd_observed`].
+/// proved the ISA at runtime) driving [`crack_interval_simd`].
 #[derive(Debug, Clone)]
 pub struct SimdBackend {
     hasher: SimdHasher,
@@ -229,7 +182,7 @@ impl SimdBackend {
     }
 
     /// Attach a telemetry handle (batch fill/hash timing, prefilter
-    /// counters), like [`ObservedLaneBackend`] for the lane path.
+    /// counters), like [`LaneBackend::with_telemetry`] for the lane path.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -255,7 +208,7 @@ impl Backend for SimdBackend {
         stop: &AtomicBool,
         mode: ScanMode,
     ) -> ScanReport {
-        crack_interval_simd_observed(
+        crack_interval_simd(
             space,
             targets,
             interval,
@@ -382,7 +335,7 @@ impl Backend for AutoBackend {
     ) -> ScanReport {
         let first_hit_only = mode.first_hit_only();
         match self.choice(targets.algo()) {
-            AutoChoice::Lanes(lanes) => crack_interval_batched_observed(
+            AutoChoice::Lanes(lanes) => crack_interval_batched(
                 space,
                 targets,
                 interval,
@@ -391,7 +344,7 @@ impl Backend for AutoBackend {
                 lanes,
                 &self.telemetry,
             ),
-            AutoChoice::Simd(hasher) => crack_interval_simd_observed(
+            AutoChoice::Simd(hasher) => crack_interval_simd(
                 space,
                 targets,
                 interval,
@@ -445,14 +398,15 @@ fn measured_rate(key: TuneKey, algo: HashAlgo) -> f64 {
     let impossible = TargetSet::new(algo, &[algo.hash_long(b"not-in-this-space")]);
     let stop = AtomicBool::new(false);
     let interval = Interval::new(0, TUNE_KEYS);
+    let off = Telemetry::disabled();
     let t0 = Instant::now();
     let out = match key {
         TuneKey::Lanes(lanes) => {
-            crack_interval_batched(&space, &impossible, interval, &stop, false, lanes)
+            crack_interval_batched(&space, &impossible, interval, &stop, false, lanes, &off)
         }
         TuneKey::Simd(isa) => {
             let hasher = SimdHasher::new(isa).expect("tuning requires an available ISA");
-            crack_interval_simd(&space, &impossible, interval, &stop, false, hasher)
+            crack_interval_simd(&space, &impossible, interval, &stop, false, hasher, &off)
         }
     };
     let rate = out.tested as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e6;

@@ -134,30 +134,11 @@ impl BatchInstruments {
 /// `tested` counts whole batches, so a first-hit stop may report up to
 /// `L - 1` more candidates than the scalar path (the other lanes really
 /// were tested — in lockstep).
+///
+/// `telemetry` receives sampled batch-fill vs. lane-hash wall time and
+/// `TargetSet` prefilter hit/miss counters (flushed once per scan, never
+/// per key); a disabled handle records nothing.
 pub fn crack_interval_batched(
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    stop: &AtomicBool,
-    first_hit_only: bool,
-    lanes: Lanes,
-) -> CrackOutcome {
-    crack_interval_batched_observed(
-        space,
-        targets,
-        interval,
-        stop,
-        first_hit_only,
-        lanes,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`crack_interval_batched`] with batch-path telemetry: sampled
-/// batch-fill vs. lane-hash wall time and `TargetSet` prefilter
-/// hit/miss counters (flushed once per scan, never per key). A disabled
-/// handle makes this identical to the unobserved path.
-pub fn crack_interval_batched_observed(
     space: &KeySpace,
     targets: &TargetSet,
     interval: Interval,
@@ -183,30 +164,10 @@ pub fn crack_interval_batched_observed(
 
 /// Like [`crack_interval_batched`] but running the explicit-SIMD kernels
 /// of a detected ISA (AVX2 = 16 keys per batch, AVX-512F = 32, NEON = 8)
-/// instead of the autovectorized lanes. The [`SimdHasher`] is the proof
-/// of availability: it can only be built by runtime feature detection.
+/// instead of the autovectorized lanes, with the same batch-path
+/// telemetry. The [`SimdHasher`] is the proof of availability: it can
+/// only be built by runtime feature detection.
 pub fn crack_interval_simd(
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    stop: &AtomicBool,
-    first_hit_only: bool,
-    hasher: SimdHasher,
-) -> CrackOutcome {
-    crack_interval_simd_observed(
-        space,
-        targets,
-        interval,
-        stop,
-        first_hit_only,
-        hasher,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`crack_interval_simd`] with the same batch-path telemetry as
-/// [`crack_interval_batched_observed`].
-pub fn crack_interval_simd_observed(
     space: &KeySpace,
     targets: &TargetSet,
     interval: Interval,
@@ -439,7 +400,9 @@ mod tests {
                 let t = targets(algo, &[b"a", b"zz", b"cat", b"mnop"]);
                 let stop = AtomicBool::new(false);
                 let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-                let simd = crack_interval_simd(&s, &t, s.interval(), &stop, false, hasher);
+                let simd = crack_interval_simd(
+                    &s, &t, s.interval(), &stop, false, hasher, &Telemetry::disabled(),
+                );
                 assert_eq!(simd.hits, scalar.hits, "{algo:?} {order:?} {hasher:?}");
                 assert_eq!(simd.tested, scalar.tested, "{algo:?} {order:?} {hasher:?}");
             }
@@ -459,7 +422,9 @@ mod tests {
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(false);
         let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-        let simd = crack_interval_simd(&s, &t, s.interval(), &stop, false, hasher);
+        let simd = crack_interval_simd(
+            &s, &t, s.interval(), &stop, false, hasher, &Telemetry::disabled(),
+        );
         assert_eq!(simd.hits, scalar.hits);
         assert_eq!(simd.tested, scalar.tested);
     }
@@ -473,7 +438,9 @@ mod tests {
         let stop = AtomicBool::new(false);
         let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
         for lanes in [Lanes::L8, Lanes::L16] {
-            let batched = crack_interval_batched(&s, &t, s.interval(), &stop, false, lanes);
+            let batched = crack_interval_batched(
+                &s, &t, s.interval(), &stop, false, lanes, &Telemetry::disabled(),
+            );
             assert_eq!(batched.hits, scalar.hits, "{lanes}");
             assert_eq!(batched.tested, scalar.tested, "{lanes}");
         }
@@ -488,7 +455,9 @@ mod tests {
                 let stop = AtomicBool::new(false);
                 let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
                 for lanes in [Lanes::L8, Lanes::L16] {
-                    let batched = crack_interval_batched(&s, &t, s.interval(), &stop, false, lanes);
+                    let batched = crack_interval_batched(
+                        &s, &t, s.interval(), &stop, false, lanes, &Telemetry::disabled(),
+                    );
                     assert_eq!(batched.hits, scalar.hits, "{algo:?} {order:?} {lanes}");
                     assert_eq!(batched.tested, scalar.tested, "{algo:?} {order:?} {lanes}");
                 }
@@ -502,7 +471,9 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::L8);
+        let out = crack_interval_batched(
+            &s, &t, s.interval(), &stop, true, Lanes::L8, &Telemetry::disabled(),
+        );
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.hits[0].1.as_bytes(), b"dog");
     }
@@ -522,7 +493,9 @@ mod tests {
         let t = targets(HashAlgo::Md5, &[b"bacad"]);
         let stop = AtomicBool::new(false);
         let scalar = crack_interval(&s, &t, s.interval(), &stop, false);
-        let batched = crack_interval_batched(&s, &t, s.interval(), &stop, false, Lanes::L16);
+        let batched = crack_interval_batched(
+            &s, &t, s.interval(), &stop, false, Lanes::L16, &Telemetry::disabled(),
+        );
         assert_eq!(batched.hits, scalar.hits);
     }
 
@@ -537,7 +510,9 @@ mod tests {
             &[HashAlgo::Md5.hash_long(tail_key.as_bytes())],
         );
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, iv, &stop, false, Lanes::L16);
+        let out = crack_interval_batched(
+            &s, &t, iv, &stop, false, Lanes::L16, &Telemetry::disabled(),
+        );
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.hits[0].0, 27);
         assert_eq!(out.tested, 29);
@@ -548,7 +523,9 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"c"]);
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, Interval::new(0, 5), &stop, false, Lanes::L8);
+        let out = crack_interval_batched(
+            &s, &t, Interval::new(0, 5), &stop, false, Lanes::L8, &Telemetry::disabled(),
+        );
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.tested, 5);
     }
@@ -558,7 +535,9 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(true);
-        let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::L8);
+        let out = crack_interval_batched(
+            &s, &t, s.interval(), &stop, true, Lanes::L8, &Telemetry::disabled(),
+        );
         assert!(out.cancelled);
         assert_eq!(out.tested, 0);
     }
@@ -568,7 +547,9 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"b"]); // identifier 1
         let stop = AtomicBool::new(false);
-        let out = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::L8);
+        let out = crack_interval_batched(
+            &s, &t, s.interval(), &stop, true, Lanes::L8, &Telemetry::disabled(),
+        );
         assert_eq!(out.hits.len(), 1);
         assert!(out.tested <= 8, "stopped within the first batch");
     }
@@ -578,7 +559,9 @@ mod tests {
         let s = space(Order::FirstCharFastest);
         let t = targets(HashAlgo::Md5, &[b"dog"]);
         let stop = AtomicBool::new(false);
-        let a = crack_interval_batched(&s, &t, s.interval(), &stop, true, Lanes::Scalar);
+        let a = crack_interval_batched(
+            &s, &t, s.interval(), &stop, true, Lanes::Scalar, &Telemetry::disabled(),
+        );
         let b = crack_interval(&s, &t, s.interval(), &stop, true);
         assert_eq!(a, b);
     }

@@ -15,7 +15,7 @@ use eks_engine::{Backend, Dispatcher, ProgressEvent, ScanMode, SchedPolicy, Work
 use eks_keyspace::{Interval, Key, KeySpace};
 use eks_telemetry::{names, Telemetry};
 
-use crate::backend::{cpu_backend, cpu_backend_observed};
+use crate::backend::cpu_backend;
 use crate::batch::Lanes;
 use crate::target::TargetSet;
 
@@ -29,8 +29,6 @@ pub struct ParallelConfig {
     pub chunk: u64,
     /// Stop the whole search at the first hit.
     pub first_hit_only: bool,
-    /// Lane width of the per-thread test path (batched by default).
-    pub lanes: Lanes,
     /// Scheduling policy across threads (adaptive stealing by default).
     pub sched: SchedPolicy,
 }
@@ -50,7 +48,6 @@ impl ParallelConfig {
             threads,
             chunk: Self::default_chunk(threads),
             first_hit_only: true,
-            lanes: Lanes::default(),
             sched: SchedPolicy::Steal,
         }
     }
@@ -89,7 +86,7 @@ pub struct ParallelReport {
 }
 
 /// Crack `interval` of `space` against `targets` with `config.threads`
-/// workers on the CPU backend selected by `config.lanes`.
+/// workers on the default-width batched CPU backend.
 ///
 /// # Panics
 /// Panics when `config.threads == 0` or `config.chunk == 0`.
@@ -103,7 +100,7 @@ pub fn crack_parallel(
         space,
         targets,
         interval,
-        &*cpu_backend(config.lanes),
+        &*cpu_backend(Lanes::default()),
         config,
     )
 }
@@ -132,35 +129,12 @@ pub fn crack_parallel_backend(
     )
 }
 
-/// [`crack_parallel`] with telemetry and a progress hook: the batch
-/// path reports fill/hash timing and prefilter counters, the dispatcher
-/// reports chunk spans and per-worker accounting, and `progress` fires
-/// after every merged chunk scan. A disabled handle and an empty hook
-/// make this identical to [`crack_parallel`].
-///
-/// # Panics
-/// Panics when `config.threads == 0` or `config.chunk == 0`.
-pub fn crack_parallel_observed(
-    space: &KeySpace,
-    targets: &TargetSet,
-    interval: Interval,
-    config: ParallelConfig,
-    telemetry: &Telemetry,
-    progress: impl Fn(&ProgressEvent) + Sync,
-) -> ParallelReport {
-    crack_parallel_backend_observed(
-        space,
-        targets,
-        interval,
-        &*cpu_backend_observed(config.lanes, telemetry.clone()),
-        config,
-        telemetry,
-        progress,
-    )
-}
-
-/// The fully-instrumented core both [`crack_parallel_backend`] and
-/// [`crack_parallel_observed`] reduce to.
+/// [`crack_parallel_backend`] with telemetry and a progress hook: the
+/// dispatcher reports chunk spans and per-worker accounting, and
+/// `progress` fires after every merged chunk scan. Batch-path timing
+/// and prefilter counters come from the backend's own handle (e.g.
+/// [`crate::LaneBackend::with_telemetry`]). A disabled handle and an
+/// empty hook make this identical to [`crack_parallel_backend`].
 ///
 /// # Panics
 /// Panics when `config.threads == 0` or `config.chunk == 0`.
@@ -275,12 +249,12 @@ mod tests {
             threads: 2,
             chunk: 1 << 10,
             first_hit_only: false,
-            lanes: Lanes::Scalar,
             ..ParallelConfig::for_threads(2)
         };
-        let scalar = crack_parallel(&s, &t, s.interval(), base);
+        let run = |lanes| crack_parallel_backend(&s, &t, s.interval(), &*cpu_backend(lanes), base);
+        let scalar = run(Lanes::Scalar);
         for lanes in [Lanes::L8, Lanes::L16] {
-            let batched = crack_parallel(&s, &t, s.interval(), ParallelConfig { lanes, ..base });
+            let batched = run(lanes);
             assert_eq!(batched.hits, scalar.hits, "{lanes}");
             assert_eq!(batched.tested, scalar.tested, "{lanes}");
         }
@@ -297,10 +271,9 @@ mod tests {
             threads: 2,
             chunk: 1,
             first_hit_only: true,
-            lanes: Lanes::L8,
             ..ParallelConfig::for_threads(2)
         };
-        let r = crack_parallel(&s, &t, s.interval(), cfg);
+        let r = crack_parallel_backend(&s, &t, s.interval(), &*cpu_backend(Lanes::L8), cfg);
         assert_eq!(r.hits.len(), 1);
         assert_eq!(r.hits[0].1.as_bytes(), b"a");
     }

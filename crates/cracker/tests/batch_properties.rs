@@ -1,17 +1,18 @@
 //! Seeded property tests for the batched cracking pipeline: the
 //! zero-allocation [`BlockBatch`] writer must emit exactly the blocks the
 //! reference padders would, and batched sweeps — single-threaded and
-//! through `crack_parallel` — must find exactly the hits the scalar
+//! through `crack_parallel_backend` — must find exactly the hits the scalar
 //! engine finds, on random spaces, charsets, orders, and algorithms.
 
 use std::sync::atomic::AtomicBool;
 
 use eks_core::prop::{forall, Rng};
 use eks_cracker::batch::{crack_interval_batched, Lanes};
-use eks_cracker::{crack_interval, crack_parallel, ParallelConfig, TargetSet};
+use eks_cracker::{cpu_backend, crack_interval, crack_parallel_backend, ParallelConfig, TargetSet};
 use eks_hashes::padding::{pad_md5_block, pad_sha_block};
 use eks_hashes::HashAlgo;
 use eks_keyspace::{BlockBatch, BlockLayout, Charset, Interval, KeySpace, Order};
+use eks_telemetry::Telemetry;
 
 /// A random charset of 2..=6 distinct printable symbols.
 fn random_charset(rng: &mut Rng) -> Charset {
@@ -103,8 +104,9 @@ fn batched_sweep_finds_exactly_the_scalar_hits() {
         let scalar = crack_interval(&space, &targets, interval, &stop, false);
         for lanes in [Lanes::L8, Lanes::L16] {
             let stop = AtomicBool::new(false);
-            let batched =
-                crack_interval_batched(&space, &targets, interval, &stop, false, lanes);
+            let batched = crack_interval_batched(
+                &space, &targets, interval, &stop, false, lanes, &Telemetry::disabled(),
+            );
             assert_eq!(batched.hits, scalar.hits, "lanes {lanes} ({algo:?})");
             assert_eq!(batched.tested, scalar.tested, "lanes {lanes} ({algo:?})");
         }
@@ -121,11 +123,12 @@ fn crack_parallel_batched_finds_the_scalar_hits() {
         let targets = TargetSet::new(algo, &digests);
         let chunk = rng.range(16, 64).next_multiple_of(16);
         let run = |lanes| {
-            crack_parallel(
+            crack_parallel_backend(
                 &space,
                 &targets,
                 space.interval(),
-                ParallelConfig { threads: 2, chunk, first_hit_only: false, lanes, ..ParallelConfig::for_threads(2) },
+                &*cpu_backend(lanes),
+                ParallelConfig { threads: 2, chunk, first_hit_only: false, ..ParallelConfig::for_threads(2) },
             )
         };
         let scalar = run(Lanes::Scalar);

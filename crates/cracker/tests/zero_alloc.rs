@@ -17,6 +17,7 @@ use eks_cracker::batch::{crack_interval_batched, Lanes};
 use eks_cracker::TargetSet;
 use eks_hashes::HashAlgo;
 use eks_keyspace::{Charset, Interval, KeySpace, Order};
+use eks_telemetry::Telemetry;
 
 thread_local! {
     // Count only while the measuring thread says so, and into that
@@ -79,7 +80,9 @@ fn steady_state_batch_loop_does_not_allocate() {
 
     for lanes in [Lanes::L8, Lanes::L16] {
         let allocs = allocs_during(|| {
-            let out = crack_interval_batched(&space, &impossible, interval, &stop, false, lanes);
+            let out = crack_interval_batched(
+                &space, &impossible, interval, &stop, false, lanes, &Telemetry::disabled(),
+            );
             assert_eq!(out.tested, 32_000);
             assert!(out.hits.is_empty());
         });
@@ -104,6 +107,7 @@ fn reversed_md5_batch_loop_does_not_allocate() {
             &stop,
             false,
             Lanes::L8,
+            &Telemetry::disabled(),
         );
         assert_eq!(out.tested, 32_000);
     });
@@ -126,6 +130,7 @@ fn scalar_path_allocates_so_the_counter_is_live() {
             &stop,
             false,
             Lanes::Scalar,
+            &Telemetry::disabled(),
         );
     });
     assert!(allocs >= 1_000, "scalar control only saw {allocs} allocations");

@@ -274,11 +274,6 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// True once any hit has been gathered.
-    pub fn any_hits(&self) -> bool {
-        !self.gathered.lock().expect("dispatch lock").hits.is_empty()
-    }
-
     /// Register a worker for accounting; labels appear in
     /// [`DispatchReport::per_worker`] in registration order.
     pub fn register(&self, label: impl Into<String>) -> WorkerId {
@@ -712,7 +707,6 @@ mod tests {
         let out = d.scan_as(w, &TestBackend, s.interval());
         assert_eq!(out.hits.len(), 1);
         assert!(d.stop_flag().load(Ordering::Relaxed), "stop raised on hit");
-        assert!(d.any_hits());
     }
 
     #[test]

@@ -161,7 +161,9 @@ impl JobService {
     }
 
     /// Run one fair-share round: carve the budget across runnable jobs,
-    /// dispatch one lease per job, checkpoint after each.
+    /// dispatch one lease per job, checkpoint after each. A non-idle
+    /// round runs under a [`names::SPAN_ROUND`] span and bumps the
+    /// [`names::ROUNDS`] counter.
     pub fn round(&self, fleet: &Fleet) -> Result<RoundReport, JobError> {
         let mut report = RoundReport::default();
         let mut jobs: Vec<JobRecord> = self
@@ -173,6 +175,7 @@ impl JobService {
         if jobs.is_empty() {
             return Ok(report);
         }
+        let span = self.telemetry.span(names::SPAN_ROUND).field("jobs", jobs.len());
         let shares = carve_budget(
             self.config.round_keys,
             &jobs.iter().map(|j| (j.spec.priority, j.remaining())).collect::<Vec<_>>(),
@@ -186,6 +189,10 @@ impl JobService {
                 report.completed.push(job.id);
             }
         }
+        if !report.is_idle() {
+            self.telemetry.counter(names::ROUNDS, &[]).inc();
+        }
+        span.field("keys", report.scanned).finish();
         Ok(report)
     }
 

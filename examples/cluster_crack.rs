@@ -14,9 +14,11 @@ use eks::cluster::{
     paper_network, run_cluster_search, simulate_search, tune_device, AchievedModel, SimParams,
 };
 use eks::cracker::TargetSet;
+use eks::engine::SchedPolicy;
 use eks::hashes::HashAlgo;
 use eks::kernels::Tool;
 use eks::keyspace::{Charset, KeySpace, Order};
+use eks::telemetry::Telemetry;
 
 fn main() {
     let net = paper_network(2e-3);
@@ -59,7 +61,10 @@ fn main() {
     let space = KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap();
     let secret = b"amd";
     let targets = TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash(secret)]);
-    let result = run_cluster_search(&net, &space, &targets, space.interval(), true);
+    let off = Telemetry::disabled();
+    let result = run_cluster_search(
+        &net, &space, &targets, space.interval(), true, SchedPolicy::Static, &off,
+    );
     let (id, key, _) = result.hits.first().expect("planted key is in the space");
     println!("real search       : cracked \"{key}\" (id {id}), {} keys tested", result.tested);
     println!("per-device work   :");

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example telemetry_report`
 
-use eks::cluster::run_cluster_search_observed;
+use eks::cluster::run_cluster_search;
 use eks::cracker::TargetSet;
 use eks::engine::SchedPolicy;
 use eks::gpusim::device::Device;
@@ -41,7 +41,7 @@ fn main() {
     // Run with a live registry + trace sink; the steal scheduler
     // repairs whatever the tuned-rate scatter got wrong.
     let telemetry = Telemetry::enabled();
-    let result = run_cluster_search_observed(
+    let result = run_cluster_search(
         &net,
         &space,
         &targets,

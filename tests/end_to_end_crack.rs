@@ -12,9 +12,11 @@
 use eks::cluster::{paper_network, run_cluster_search};
 use eks::core::driver::{search_interval, SearchOutcome};
 use eks::cracker::{crack_parallel, ParallelConfig, TargetSet};
+use eks::engine::SchedPolicy;
 use eks::hashes::HashAlgo;
 use eks::kernels::host::HostSearch;
 use eks::keyspace::{Charset, Interval, Key, KeySpace, Order};
+use eks::telemetry::Telemetry;
 
 fn space() -> KeySpace {
     KeySpace::new(Charset::lowercase(), 1, 4, Order::FirstCharFastest).unwrap()
@@ -47,7 +49,8 @@ fn all_engines_agree_on_the_same_hit() {
 
     // 4. Hierarchical cluster runtime over the paper's network.
     let net = paper_network(1e-3);
-    let cr = run_cluster_search(&net, &s, &targets, s.interval(), true);
+    let off = Telemetry::disabled();
+    let cr = run_cluster_search(&net, &s, &targets, s.interval(), true, SchedPolicy::Static, &off);
     assert_eq!(cr.hits[0].0, id, "cluster runtime");
     assert_eq!(cr.hits[0].1, secret);
 }
@@ -74,7 +77,8 @@ fn cluster_audit_covers_space_exactly_once() {
     let digests: Vec<Vec<u8>> = words.iter().map(|w| HashAlgo::Md5.hash(w)).collect();
     let targets = TargetSet::new(HashAlgo::Md5, &digests);
     let net = paper_network(1e-3);
-    let r = run_cluster_search(&net, &s, &targets, s.interval(), false);
+    let off = Telemetry::disabled();
+    let r = run_cluster_search(&net, &s, &targets, s.interval(), false, SchedPolicy::Static, &off);
     assert_eq!(r.tested, s.size(), "each key tested exactly once");
     let mut found: Vec<&[u8]> = r.hits.iter().map(|(_, k, _)| k.as_bytes()).collect();
     found.sort();
@@ -102,9 +106,10 @@ fn interval_boundaries_respected_across_engines() {
     assert_eq!(r2.hits.len(), 1);
 
     let net = paper_network(1e-3);
-    let c1 = run_cluster_search(&net, &s, &targets, before, true);
+    let off = Telemetry::disabled();
+    let c1 = run_cluster_search(&net, &s, &targets, before, true, SchedPolicy::Static, &off);
     assert!(c1.hits.is_empty());
-    let c2 = run_cluster_search(&net, &s, &targets, containing, true);
+    let c2 = run_cluster_search(&net, &s, &targets, containing, true, SchedPolicy::Static, &off);
     assert_eq!(c2.hits.len(), 1);
 }
 

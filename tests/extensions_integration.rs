@@ -13,8 +13,10 @@ use eks::cluster::{
     ScheduledEvent,
 };
 use eks::cracker::{crack_interval, crack_space_parallel, Checkpoint, ParallelConfig, TargetSet};
+use eks::engine::SchedPolicy;
 use eks::hashes::HashAlgo;
 use eks::keyspace::{Charset, HybridSpace, Interval, KeySpace, MaskSpace, Order};
+use eks::telemetry::Telemetry;
 use std::sync::atomic::AtomicBool;
 
 /// NTLM cracks through the whole stack: engine, cluster, and the MD4
@@ -31,7 +33,8 @@ fn ntlm_end_to_end() {
 
     // Cluster runtime (hybrid CPU+GPU node).
     let net = parse_topology("box(660, cpu:2)", 1e-3).unwrap();
-    let cr = run_cluster_search(&net, &s, &targets, s.interval(), true);
+    let off = Telemetry::disabled();
+    let cr = run_cluster_search(&net, &s, &targets, s.interval(), true, SchedPolicy::Static, &off);
     assert_eq!(cr.hits[0].1.as_bytes(), secret);
 
     // The MD4 kernel IR computes the same digest the cracker matched.

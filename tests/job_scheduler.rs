@@ -19,7 +19,7 @@ use eks::cracker::{cpu_backend, Lanes};
 use eks::engine::checkpoint::SearchCheckpoint;
 use eks::hashes::HashAlgo;
 use eks::jobs::{Fleet, FleetMember, JobService, JobSpec, JobState, JobStore, ServiceConfig};
-use eks::keyspace::{Interval, Order};
+use eks::keyspace::{Interval, Key, Order};
 use eks::telemetry::{names, parse_prometheus, Telemetry};
 
 /// Checkpoint/restore at arbitrary interleaving points never rescans
@@ -236,6 +236,62 @@ fn per_job_totals_reconcile_exactly_with_worker_counters() {
             .sum::<u128>();
         assert_eq!(job_total, SPACE, "{label}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A first-hit job ends at its lowest-identifier hit. Its credit is
+/// exactly the keys its leases scanned, short of the whole space, and
+/// once it completes no later round leases it anything while an
+/// exhaustive neighbour keeps running.
+#[test]
+fn first_hit_job_completes_at_its_hit_and_leases_nothing_after() {
+    let dir = tmp_spool("firsthit");
+    let store = JobStore::open(&dir).unwrap();
+    let first = store
+        .submit(JobSpec { first_hit_only: true, ..lowercase_spec("first", b"cat", 1) })
+        .unwrap();
+    let sweep = store.submit(lowercase_spec("sweep", b"zzzz", 1)).unwrap();
+    let telemetry = Telemetry::enabled();
+    let service = JobService::new(
+        store,
+        ServiceConfig { round_keys: 4096, ..ServiceConfig::default() },
+    )
+    .with_telemetry(telemetry.clone());
+    let fleet = two_worker_fleet();
+    let mut done_at = None;
+    for round in 0.. {
+        let report = service.round(&fleet).unwrap();
+        if report.is_idle() {
+            break;
+        }
+        if let Some(done) = done_at {
+            assert!(
+                report.leases.iter().all(|(id, _)| *id != first.id),
+                "round {round} leased the job completed in round {done}"
+            );
+        } else if report.completed.contains(&first.id) {
+            done_at = Some(round);
+        }
+    }
+    assert!(done_at.is_some_and(|r| r > 0), "the hit lies several rounds in");
+
+    let rec = service.store().load(first.id).unwrap();
+    assert_eq!(rec.state, JobState::Completed);
+    let cat = rec.spec.space().unwrap().id_of(&Key::from_bytes(b"cat")).unwrap();
+    assert_eq!(rec.hits.len(), 1);
+    assert_eq!((rec.hits[0].id, rec.hits[0].key.as_slice()), (cat, &b"cat"[..]));
+    // Under first-hit a cancelled worker stops mid-share, so the credit
+    // is the scanned count, not an identifier prefix.
+    assert!(rec.tested > 0 && rec.tested < SPACE, "tested {} of {SPACE}", rec.tested);
+    let samples = parse_prometheus(&telemetry.render_prometheus()).unwrap();
+    let label = first.id.to_string();
+    let scanned: f64 = samples
+        .iter()
+        .filter(|s| s.name == names::JOB_KEYS_TESTED && s.label("job") == Some(label.as_str()))
+        .map(|s| s.value)
+        .sum();
+    assert_eq!(scanned as u128, rec.tested, "credit equals the scanned count");
+    assert_eq!(service.store().load(sweep.id).unwrap().tested, SPACE);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

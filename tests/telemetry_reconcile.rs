@@ -19,13 +19,17 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use eks::cluster::{run_rounds_observed, ClusterNode, RoundConfig};
+use eks::cluster::{plan_job_fleet, ClusterNode};
 use eks::core::prop::{forall, Rng};
-use eks::cracker::{crack_parallel_observed, ParallelConfig, TargetSet};
+use eks::cracker::{
+    crack_parallel_backend_observed, LaneBackend, Lanes, ParallelConfig, ParallelReport,
+    TargetSet,
+};
 use eks::engine::SchedPolicy;
 use eks::gpusim::device::Device;
 use eks::hashes::HashAlgo;
-use eks::keyspace::{Charset, KeySpace, Order};
+use eks::jobs::{JobService, JobSpec, JobStore, ServiceConfig};
+use eks::keyspace::{Charset, Interval, KeySpace, Order};
 use eks::telemetry::{names, parse_prometheus, ManualClock, Telemetry, WindowBook};
 
 /// Sum of every `eks_keys_tested_total` sample (one per worker label),
@@ -36,12 +40,28 @@ fn keys_tested_total(telemetry: &Telemetry) -> u128 {
     samples.iter().filter(|s| s.name == names::KEYS_TESTED).map(|s| s.value as u128).sum()
 }
 
-/// A target set that sometimes hits (a real key's digest) and sometimes
-/// sweeps the whole space (an impossible digest).
-fn random_targets(rng: &mut Rng) -> TargetSet {
+/// An MD5 digest that sometimes hits (a real key's digest) and
+/// sometimes sweeps the whole space (an impossible digest).
+fn random_digest(rng: &mut Rng) -> Vec<u8> {
     let words: [&[u8]; 5] = [b"cat", b"zz", b"qqq", b"abc", b"not-in-this-space"];
-    let word = words[rng.index(words.len())];
-    TargetSet::new(HashAlgo::Md5, &[HashAlgo::Md5.hash_long(word)])
+    HashAlgo::Md5.hash_long(words[rng.index(words.len())])
+}
+
+fn random_targets(rng: &mut Rng) -> TargetSet {
+    TargetSet::new(HashAlgo::Md5, &[random_digest(rng)])
+}
+
+/// The CLI's default crack path: a telemetry-carrying default-width
+/// lane backend under the instrumented dispatcher.
+fn crack(
+    space: &KeySpace,
+    targets: &TargetSet,
+    interval: Interval,
+    config: ParallelConfig,
+    telemetry: &Telemetry,
+) -> ParallelReport {
+    let backend = LaneBackend::new(Lanes::default()).with_telemetry(telemetry.clone());
+    crack_parallel_backend_observed(space, targets, interval, &backend, config, telemetry, |_| {})
 }
 
 #[test]
@@ -57,8 +77,7 @@ fn parallel_steal_metrics_reconcile_exactly() {
             sched: SchedPolicy::Steal,
             ..ParallelConfig::for_threads(threads)
         };
-        let report =
-            crack_parallel_observed(&space, &targets, space.interval(), config, &telemetry, |_| {});
+        let report = crack(&space, &targets, space.interval(), config, &telemetry);
         let per_worker: u128 = report.stats.iter().map(|w| w.tested).sum();
         assert_eq!(per_worker, report.tested, "stats sum to the report total");
         assert_eq!(
@@ -106,14 +125,7 @@ fn window_deltas_telescope_to_registry_totals_under_steal() {
                 }
                 flushed
             });
-            let report = crack_parallel_observed(
-                &space,
-                &targets,
-                space.interval(),
-                config,
-                &telemetry,
-                |_| {},
-            );
+            let report = crack(&space, &targets, space.interval(), config, &telemetry);
             done.store(true, Ordering::Relaxed);
             (report, flusher.join().expect("flusher thread"))
         });
@@ -138,38 +150,52 @@ fn window_deltas_telescope_to_registry_totals_under_steal() {
     });
 }
 
+/// The one real round loop, `JobService::round`, over a planned
+/// cluster fleet: the per-worker registry total equals the keys the
+/// job records were credited (exactly once, or up to the first hit),
+/// and the rounds counter equals the non-idle rounds the driver saw.
 #[test]
 fn cluster_round_metrics_reconcile_exactly() {
-    let space = KeySpace::new(Charset::lowercase(), 1, 3, Order::FirstCharFastest).unwrap();
     let net = ClusterNode::device_node("box", vec![Device::geforce_gtx_660()], 0.0)
         .with_cpu("host-cpu", 2);
+    let mut case = 0;
     forall("telemetry-reconcile-rounds", 4, |rng| {
-        let targets = random_targets(rng);
+        case += 1;
+        let digest = random_digest(rng);
+        let round_keys = rng.range(3_000, 12_000) as u128;
+        let first_hit_only = rng.u64() % 2 == 0;
         let telemetry = Telemetry::with_clock(Arc::new(ManualClock::new()));
-        let r = run_rounds_observed(
-            &net,
-            &space,
-            &targets,
-            space.interval(),
-            RoundConfig {
-                round_keys: rng.range(3_000, 12_000) as u128,
-                first_hit_only: rng.u64() % 2 == 0,
-                lose_worker: None,
-                sched: SchedPolicy::Steal,
-            },
-            &telemetry,
-        );
-        let per_device: u128 = r.stats.iter().map(|w| w.tested).sum();
-        assert_eq!(per_device, r.tested, "per-device stats sum to the round total");
+        let dir = std::env::temp_dir()
+            .join(format!("eks-reconcile-rounds-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = JobStore::open(&dir).expect("spool");
+        let spec = JobSpec {
+            name: "rounds".into(),
+            algo: HashAlgo::Md5,
+            digest,
+            charset: Charset::lowercase().symbols().to_vec(),
+            min_len: 1,
+            max_len: 3,
+            order: Order::FirstCharFastest,
+            priority: 1,
+            first_hit_only,
+        };
+        store.submit(spec).expect("submit");
+        let config = ServiceConfig { round_keys, ..ServiceConfig::default() };
+        let service = JobService::new(store, config).with_telemetry(telemetry.clone());
+        let fleet = plan_job_fleet(&net, HashAlgo::Md5, &telemetry);
+        let rounds = service.run_until_idle(&fleet).expect("rounds");
+
+        let tested: u128 = service.store().list().expect("list").iter().map(|r| r.tested).sum();
         assert_eq!(
             keys_tested_total(&telemetry),
-            r.tested,
+            tested,
             "registry total equals the keys charged across rounds"
         );
-        // The rounds counter reconciles too.
         let samples = parse_prometheus(&telemetry.render_prometheus()).expect("valid exposition");
-        let rounds: f64 =
+        let counted: f64 =
             samples.iter().filter(|s| s.name == names::ROUNDS).map(|s| s.value).sum();
-        assert_eq!(rounds as u32, r.rounds);
+        assert_eq!(counted as u64, rounds, "one rounds tick per non-idle round");
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }
